@@ -22,6 +22,7 @@ from .schemes import (
     ParameterVector,
     lmm6_parameters,
     lmm_from_parameters,
+    parameter_map,
     reform,
 )
 
@@ -307,51 +308,28 @@ def build_farkas_system(k: int = 7) -> FarkasSystem:
     """Assemble Q and q exactly over Q(sqrt(3)).
 
     Stacks the node-positivity constraints of both generating polynomials at
-    the k Chebyshev points cos(j*pi/(k-1)); exact assembly requires those
-    cosines to lie in Q(sqrt(3)), i.e. (k-1) | 6.
+    the k Chebyshev points x_j = cos(j*pi/(k-1)): with ``Z[j][m] = T_m(x_j)``
+    the residuals ``q - Q w`` are ``Z a(w)`` followed by ``Z b(w)``.  Since
+    a and b are affine in w, Q is read off the scheme family's parameter map
+    and q from its tables at w = 0.  Exact assembly requires the cosines to
+    lie in Q(sqrt(3)), i.e. (k-1) | 6.
     """
     if k < 2:
         raise ValueError("need k >= 2")
-    n = k - 1
-    Z = [[_exact_cos_node(m * j, n) for m in range(k)] for j in range(k)]
-
-    nodes1 = [Fraction(-i) for i in range(k + 1)]
-    W1_inv = exactalg.inverse(exactalg.vandermonde_transposed(nodes1))
-    nodes2 = [Fraction(-i) for i in range(k)]
-    W2_inv = exactalg.inverse(exactalg.vandermonde_transposed(nodes2))
-    E = [[Fraction(1) if i >= j else Fraction(0) for j in range(k)] for i in range(k)]
-
-    lift = lambda M: [[QuadExt(x) for x in row] for row in M]
-
-    # a = [E, 0] W1^{-1} [0; w~] with w~ = e_1 + (selector) w
-    Ek0 = [row + [Fraction(0)] for row in E]
-    ZA = exactalg.matmul(Z, lift(exactalg.matmul(Ek0, W1_inv)))  # k x (k+1)
-    selector = [[Fraction(0)] * k for _ in range(k + 1)]
-    for i in range(k - 1):
-        selector[i + 2][i] = Fraction(1)
-    Q1 = [[-x for x in row] for row in exactalg.matmul(ZA, lift(selector))]
-    e2 = [Fraction(0), Fraction(1)] + [Fraction(0)] * (k - 1)
-    q1 = exactalg.matvec(ZA, [QuadExt(x) for x in e2])
-
-    # b = E W2^{-1} (D w~ - w_k z) - [1/2; 1; ...; 1]
-    ZB = exactalg.matmul(Z, lift(exactalg.matmul(E, W2_inv)))  # k x k
-    dz = [[Fraction(0)] * k for _ in range(k)]
-    for j in range(k - 1):
-        dz[j + 1][j] = Fraction(1, j + 2)
-    for i in range(k):
-        dz[i][k - 1] = -(Fraction(-k) ** i)
-    Q2 = [[-x for x in row] for row in exactalg.matmul(ZB, lift(dz))]
-    e1 = [Fraction(1)] + [Fraction(0)] * (k - 1)
-    half_ones = [Fraction(1, 2)] + [Fraction(1)] * (k - 1)
-    q2_lhs = exactalg.matvec(ZB, [QuadExt(x) for x in e1])
-    q2_rhs = exactalg.matvec(Z, [QuadExt(x) for x in half_ones])
-    q2 = [a - b for a, b in zip(q2_lhs, q2_rhs)]
-
-    return FarkasSystem(
-        k=k,
-        Q=tuple(tuple(row) for row in Q1 + Q2),
-        q=tuple(q1 + q2),
-    )
+    Z = [[_exact_cos_node(m * j, k - 1) for m in range(k)] for j in range(k)]
+    C, _ = parameter_map(k)
+    # S: a_i and b_i are the partial sums of A and B through index i; the
+    # constant offsets of b enter only through reform, which supplies q
+    S = [
+        [Fraction(start <= c <= start + i) for c in range(len(C))]
+        for start in (0, k + 1)
+        for i in range(k)
+    ]
+    SC = exactalg.matmul(S, C)
+    Q = [[-x for x in row] for part in (SC[:k], SC[k:]) for row in exactalg.matmul(Z, part)]
+    base = reform(lmm_from_parameters([0] * k))
+    q = exactalg.matvec(Z, base.a) + exactalg.matvec(Z, base.b)
+    return FarkasSystem(k=k, Q=tuple(tuple(row) for row in Q), q=tuple(q))
 
 
 def _sparse_vector(entries: dict, length: int = 14) -> tuple:

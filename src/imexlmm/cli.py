@@ -372,9 +372,6 @@ def main(argv=None) -> int:
     _echo_config(args)
     try:
         return args.func(args)
-    except argparse.ArgumentTypeError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (
         barrier.CertificateInvalidError,
         pde.InvariantViolationError,
@@ -383,6 +380,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except (argparse.ArgumentTypeError, ValueError, OSError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -9,8 +9,6 @@ exact and fast enough.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class SingularMatrixError(ArithmeticError):
     pass
@@ -22,7 +20,6 @@ def solve(matrix, rhs):
     cols = [[r] for r in rhs] if vector_rhs else [list(r) for r in rhs]
     n = len(matrix)
     aug = [list(matrix[i]) + cols[i] for i in range(n)]
-    width = len(aug[0])
     for c in range(n):
         pivot_row = next((r for r in range(c, n) if aug[r][c]), None)
         if pivot_row is None:
@@ -33,24 +30,9 @@ def solve(matrix, rhs):
         for r in range(n):
             if r != c and aug[r][c]:
                 factor = aug[r][c]
-                aug[r] = [aug[r][j] - factor * aug[c][j] for j in range(width)]
+                aug[r] = [x - factor * y if y else x for x, y in zip(aug[r], aug[c])]
     sol = [row[n:] for row in aug]
     return [row[0] for row in sol] if vector_rhs else sol
-
-
-def identity(n, one=Fraction(1), zero=Fraction(0)):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def inverse(matrix):
-    n = len(matrix)
-    one = matrix[0][0] / matrix[0][0] if matrix[0][0] else None
-    if one is None:
-        # fall back to a generic 1 via any nonzero entry
-        nz = next(x for row in matrix for x in row if x)
-        one = nz / nz
-    zero = one - one
-    return solve(matrix, identity(n, one, zero))
 
 
 def matmul(a, b):

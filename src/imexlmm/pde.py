@@ -14,6 +14,7 @@ keeps the recorded mass constant to machine precision over long runs.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -456,7 +457,8 @@ def simulate(
 
     The modified energy is recorded from step k-1 on (earlier entries are
     NaN) and only when a non-refused certificate is supplied.  Returns
-    (trace, history).
+    (trace, history); raises InvariantViolationError at the first step whose
+    energy is not finite.
     """
     flow = SpectralFlow(model, grid, scheme, tau)
     k = scheme.k
@@ -487,6 +489,10 @@ def simulate(
         prev_hat = history.deviation_hat(0)
         u = flow.step(history)
         e = flow.energy(u)
+        if not math.isfinite(e):
+            raise InvariantViolationError(
+                f"energy is {e} after step {n + 1} (t = {t0 + (n + 1) * tau})"
+            )
         if track_eg:
             tracker.push(history.deviation_hat(0) - prev_hat)
             eg = e + tracker.quadratic_parts(Ga, Gb, chat, ell_f, tau)

@@ -10,7 +10,9 @@ enters until a caller asks for it.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ __all__ = [
     "SchemeError",
     "bdf_coefficients",
     "lmm_from_parameters",
+    "parameter_map",
     "lmm6_parameters",
     "lmm6_scheme",
     "parameters_from_scheme",
@@ -168,27 +171,42 @@ def bdf_coefficients(k: int) -> SchemeCoefficients:
     return SchemeCoefficients(k=k, A=tuple(A), B=B, Bhat=tuple(Bhat))
 
 
+@functools.lru_cache(maxsize=None)
+def parameter_map(k: int) -> tuple:
+    """Exact affine map ``(C, d)`` from the free parameters to the tables.
+
+    For every parameter vector w of length k the stacked table
+    ``(A_0..A_k, B_0..B_k, Bhat_1..Bhat_k)`` equals ``C w + d``.  The three
+    transposed Vandermonde systems are solved once per k, with one
+    right-hand column for the constant term and one per parameter: w_m
+    prescribes the moment sums for m = 1..k-1 and w_k = B_k.
+    """
+    one, zero = Fraction(1), Fraction(0)
+    # moment sums (1, w_1..w_{k-1}) as rows over the columns (1, w_1..w_k)
+    moments = [[one if c == m else zero for c in range(k + 1)] for m in range(k)]
+    A = exactalg.solve(
+        exactalg.vandermonde_transposed(_nodes(0, k)), [[zero] * (k + 1)] + moments
+    )
+    d_w = [[x / (m + 1) for x in row] for m, row in enumerate(moments)]
+    B_head = exactalg.solve(
+        exactalg.vandermonde_transposed(_nodes(0, k - 1)),
+        [row[:k] + [-Fraction(-k) ** m] for m, row in enumerate(d_w)],
+    )
+    B_k = [zero] * k + [one]
+    Bhat = exactalg.solve(exactalg.vandermonde_transposed(_nodes(1, k)), d_w)
+    rows = A + B_head + [B_k] + Bhat
+    return tuple(tuple(row[1:]) for row in rows), tuple(row[0] for row in rows)
+
+
 def lmm_from_parameters(w) -> SchemeCoefficients:
-    """Scheme from free parameters via the three transposed Vandermonde
-    systems; w_m prescribes the moment sums for m = 1..k-1 and w_k = B_k."""
+    """Scheme from free parameters: one exact evaluation of ``parameter_map``."""
     if not isinstance(w, ParameterVector):
         w = ParameterVector(tuple(w))
     k = w.k
-    w_tilde = [Fraction(1)] + list(w.w[: k - 1])
-    w_k = w.w[k - 1]
-
-    w1 = exactalg.vandermonde_transposed(_nodes(0, k))
-    A = exactalg.solve(w1, [Fraction(0)] + w_tilde)
-
-    d_w = [w_tilde[m] / (m + 1) for m in range(k)]
-    z = [Fraction(-k) ** m for m in range(k)]
-    w2 = exactalg.vandermonde_transposed(_nodes(0, k - 1))
-    B_head = exactalg.solve(w2, [d_w[m] - w_k * z[m] for m in range(k)])
-
-    w3 = exactalg.vandermonde_transposed(_nodes(1, k))
-    Bhat = exactalg.solve(w3, d_w)
+    C, d = parameter_map(k)
+    tables = [d_i + sum(map(operator.mul, row, w.w)) for row, d_i in zip(C, d)]
     return SchemeCoefficients(
-        k=k, A=tuple(A), B=tuple(B_head) + (w_k,), Bhat=tuple(Bhat)
+        k=k, A=tables[: k + 1], B=tables[k + 1 : 2 * k + 2], Bhat=tables[2 * k + 2 :]
     )
 
 

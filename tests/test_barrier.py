@@ -118,6 +118,34 @@ def test_assembly_matches_golden_entries():
     assert tuple(system.q[7:]) == GOLDEN_q2
 
 
+def _chebyshev_value(coeffs, x):
+    """sum_m c_m T_m(x) by the three-term recurrence, exactly."""
+    t = [F(1), x]
+    while len(t) < len(coeffs):
+        t.append(2 * x * t[-1] - t[-2])
+    return sum(c * tm for c, tm in zip(coeffs, t))
+
+
+# the nodes cos(j*pi/(k-1)) for the k != 7 with (k-1) | 6 are rational
+RATIONAL_NODES = {
+    2: (F(1), F(-1)),
+    3: (F(1), F(0), F(-1)),
+    4: (F(1), F(1, 2), F(-1, 2), F(-1)),
+}
+
+
+@pytest.mark.parametrize("k", sorted(RATIONAL_NODES))
+def test_assembly_residuals_are_node_values_of_tables(k):
+    nodes = RATIONAL_NODES[k]
+    system = build_farkas_system(k)
+    rng = random.Random(1000 + k)
+    for _ in range(25):
+        w = [F(rng.randint(-500, 500), rng.randint(1, 60)) for _ in range(k)]
+        coeffs = reform(lmm_from_parameters(w))
+        expected = [_chebyshev_value(c, x) for c in (coeffs.a, coeffs.b) for x in nodes]
+        assert system.residuals(w) == [q3(v) for v in expected]
+
+
 def test_assembly_rejects_nodes_outside_field():
     with pytest.raises(ValueError):
         build_farkas_system(6)  # cos(j*pi/5) is not in Q(sqrt(3))

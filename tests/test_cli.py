@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from imexlmm.cli import main
@@ -145,10 +146,36 @@ def test_determinism_byte_identical(tmp_path, lmm6_file):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as excinfo:
-        run(["certify", "--no-such-flag"])
-    assert excinfo.value.code == 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--no-such-flag"],
+        ["scheme", "bdf", "--k", "9"],
+        ["certify", "--scheme", "{lmm6}", "--ell-f=-1", "--zeta", "1", "--eta", "1"],
+        ["certify", "--scheme", "{missing}", "--ell-f", "1", "--zeta", "1", "--eta", "1"],
+    ],
+    ids=["unknown-flag", "bdf-k9", "negative-ell-f", "missing-scheme"],
+)
+def test_usage_error_exit_code(argv, tmp_path, lmm6_file, capsys):
+    paths = {"lmm6": lmm6_file, "missing": tmp_path / "missing.json"}
+    argv = [token.format(**paths) for token in argv]
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # argparse rejects unknown flags itself
+        code = exc.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_non_finite_run_exit_code(tmp_path, lmm6_file, capsys):
+    with np.errstate(all="ignore"):
+        code = run([
+            "simulate", "--model", "ac", "--scheme", str(lmm6_file),
+            "--grid", "16", "--domain", "6.283185307179586",
+            "--tau", "50", "--T", "2000", "--trace", str(tmp_path / "trace.csv"),
+        ])
+    assert code == 3
+    assert "after step" in capsys.readouterr().err
 
 
 def test_config_file_defaults_with_flag_override(tmp_path, capsys):

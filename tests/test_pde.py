@@ -327,6 +327,17 @@ def test_modified_energy_dominates_energy_and_decays():
     assert direct == pytest.approx(trace.modified_energy[-1], rel=1e-12)
 
 
+def test_non_finite_run_raises_with_step():
+    # far beyond tau_max the Allen-Cahn run overflows within a few steps
+    grid = small_grid(16)
+    model = allen_cahn(0.25)
+    scheme = lmm6_scheme()
+    report = certify_scheme(scheme, model.constants())
+    u0 = 0.05 * np.random.default_rng(1).standard_normal(grid.shape)
+    with np.errstate(all="ignore"), pytest.raises(InvariantViolationError, match="after step"):
+        simulate(model, grid, scheme, report, u0, tau=50.0, n_steps=35)
+
+
 # ----------------------------------------------------------- study drivers
 
 def test_convergence_stationary_solution_hits_rounding():
