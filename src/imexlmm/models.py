@@ -15,6 +15,7 @@ stays inside that interval.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -44,13 +45,21 @@ class Grid:
     """Uniform periodic grid with cached wavenumber tables.
 
     shape gives points per axis (even, powers of two preferred), lengths the
-    physical box sides.  Inner products use the cell-volume-weighted sum,
-    which is exact for trigonometric polynomials below the Nyquist limit.
+    physical box sides.  Transforms are real-to-complex over the trailing
+    ``dim`` axes: ``fft`` returns the half spectrum, whose last axis holds
+    the n // 2 + 1 non-negative frequencies, and ``k2`` has that half shape.
+    Inner products use the cell-volume-weighted sum, which is exact for
+    trigonometric polynomials below the Nyquist limit.
     """
 
     shape: tuple
     lengths: tuple
     k2: np.ndarray = field(init=False, repr=False, compare=False)
+    npoints: int = field(init=False, repr=False, compare=False)
+    cell_volume: float = field(init=False, repr=False, compare=False)
+    # how often each stored mode occurs in the full spectrum: 1 on the
+    # self-conjugate last-axis planes 0 and n/2, 2 elsewhere
+    multiplicity: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shape = tuple(int(n) for n in self.shape)
@@ -65,26 +74,25 @@ class Grid:
         object.__setattr__(self, "lengths", lengths)
         axes = [
             2.0 * np.pi * np.fft.fftfreq(n, d=l / n)
-            for n, l in zip(shape, lengths)
+            for n, l in zip(shape[:-1], lengths[:-1])
         ]
+        axes.append(2.0 * np.pi * np.fft.rfftfreq(shape[-1], d=lengths[-1] / shape[-1]))
         mesh = np.meshgrid(*axes, indexing="ij")
         object.__setattr__(self, "k2", sum(m ** 2 for m in mesh))
+        npoints = math.prod(shape)
+        object.__setattr__(self, "npoints", npoints)
+        object.__setattr__(self, "cell_volume", math.prod(lengths) / npoints)
+        multiplicity = np.full(shape[-1] // 2 + 1, 2.0)
+        multiplicity[[0, -1]] = 1.0
+        object.__setattr__(self, "multiplicity", multiplicity)
 
     @property
     def dim(self) -> int:
         return len(self.shape)
 
     @property
-    def npoints(self) -> int:
-        return int(np.prod(self.shape))
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.lengths) / self.npoints)
-
-    @property
     def volume(self) -> float:
-        return float(np.prod(self.lengths))
+        return math.prod(self.lengths)
 
     def coordinates(self):
         axes = [
@@ -92,20 +100,37 @@ class Grid:
         ]
         return np.meshgrid(*axes, indexing="ij")
 
+    @property
+    def axes(self) -> tuple:
+        """Transform axes: the trailing dim ones, so stacks transform too."""
+        return tuple(range(-self.dim, 0))
+
     def fft(self, u: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(u)
+        """Half spectrum of the real field u (or of a stack of fields)."""
+        return np.fft.rfftn(u, axes=self.axes)
 
     def ifft(self, u_hat: np.ndarray) -> np.ndarray:
-        """Inverse transform expected to be real; the imaginary residue is
-        zeroed when below tolerance and rejected otherwise."""
-        v = np.fft.ifftn(u_hat)
-        imag_max = float(np.max(np.abs(v.imag)))
-        scale = max(1.0, float(np.max(np.abs(v.real))))
+        """Real field of the half spectrum u_hat.
+
+        The inverse keeps only the Hermitian part of the self-conjugate
+        planes (last-axis index 0 and n/2).  Their anti-Hermitian part is
+        what leaves an imaginary residue in a full complex inverse; that
+        residue is measured with (d-1)-dimensional inverses of the two
+        planes and rejected when above tolerance.
+        """
+        v = np.fft.irfftn(u_hat, s=self.shape, axes=self.axes)
+        n = self.shape[-1]
+        planes = np.fft.ifftn(u_hat[..., :: n // 2], axes=self.axes[:-1])
+        # plane 0 enters the full inverse with weight 1/n, plane n/2 with
+        # (-1)^x / n, so the worst residue over x adds their magnitudes
+        imag = np.abs(planes.imag)
+        imag_max = float(np.max(imag[..., 0] + imag[..., 1])) / n
+        scale = max(1.0, float(np.max(np.abs(v))))
         if imag_max > IMAG_RESIDUE_TOL * scale:
             raise HermitianViolationError(
                 f"imaginary residue {imag_max:.3e} exceeds tolerance"
             )
-        return np.ascontiguousarray(v.real)
+        return v
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         return self.cell_volume * float(np.sum(u * v))
@@ -114,11 +139,10 @@ class Grid:
         return float(np.sqrt(self.inner(u, u)))
 
     def spectral_inner(self, u_hat, v_hat, weight=None) -> float:
-        """(u, W v) for a real diagonal symbol W, from transforms."""
-        z = u_hat * np.conj(v_hat)
-        if weight is not None:
-            z = z * weight
-        return self.cell_volume / self.npoints * float(np.sum(z.real))
+        """(u, W v) for a real diagonal symbol W, from half spectra."""
+        w = self.multiplicity if weight is None else weight * self.multiplicity
+        z = u_hat.real * v_hat.real + u_hat.imag * v_hat.imag
+        return self.cell_volume / self.npoints * float(np.sum(z * w))
 
     def apply_symbol(self, symbol: np.ndarray, u: np.ndarray) -> np.ndarray:
         return self.ifft(symbol * self.fft(u))

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from imexlmm.certify import certify_scheme
-from imexlmm.models import Grid, ModelSpec, allen_cahn, cahn_hilliard, pfc
+from imexlmm.models import (
+    Grid,
+    HermitianViolationError,
+    ModelSpec,
+    allen_cahn,
+    cahn_hilliard,
+    pfc,
+)
 from imexlmm.pde import (
     InvariantViolationError,
     PatchSpec,
@@ -44,8 +51,14 @@ def free_flow_model(epsilon=0.0):
 
 # ------------------------------------------------------------------- grid
 
-def test_grid_parseval_identity():
-    grid = small_grid()
+GRID_SHAPES = {1: (32,), 2: (32, 16), 3: (8, 6, 10)}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_parseval_identity(dim):
+    shape = GRID_SHAPES[dim]
+    grid = Grid(shape, (2 * np.pi, 3.0, 5.0)[:dim])
+    assert grid.k2.shape == shape[:-1] + (shape[-1] // 2 + 1,)
     rng = np.random.default_rng(0)
     for _ in range(5):
         u = rng.standard_normal(grid.shape)
@@ -53,6 +66,27 @@ def test_grid_parseval_identity():
         direct = grid.inner(u, v)
         spectral = grid.spectral_inner(grid.fft(u), grid.fft(v))
         assert abs(direct - spectral) < 1e-12 * max(1.0, abs(direct))
+        assert np.max(np.abs(grid.ifft(grid.fft(u)) - u)) < 1e-13
+
+
+def test_grid_ifft_rejects_anti_hermitian_planes():
+    # the self-conjugate planes (last-axis index 0 and n/2) of a half
+    # spectrum must be Hermitian on their own; a full inverse would turn
+    # their anti-Hermitian part into an imaginary residue
+    grid = small_grid(16)
+    u = np.random.default_rng(9).standard_normal(grid.shape)
+    u_hat = grid.fft(u)
+    assert np.max(np.abs(grid.ifft(u_hat) - u)) < 1e-14
+
+    imaginary_mean = u_hat.copy()
+    imaginary_mean[0, 0] += 1e-6j * grid.npoints
+    with pytest.raises(HermitianViolationError):
+        grid.ifft(imaginary_mean)
+
+    broken_pair = u_hat.copy()  # (3, n/2) no longer conjugate to (-3, n/2)
+    broken_pair[3, -1] += 1e-6 * grid.npoints
+    with pytest.raises(HermitianViolationError):
+        grid.ifft(broken_pair)
 
 
 def test_grid_validation():
@@ -136,6 +170,50 @@ def test_local_truncation_order_seven():
         errors.append(np.max(np.abs(u - solution.u(t0 + scheme.k * tau))))
     rates = [np.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
     assert all(6.4 < r < 7.6 for r in rates), (errors, rates)
+
+
+def test_pfc_step_matches_full_spectrum_oracle():
+    # one six-step PFC update written with full complex transforms, from a
+    # random history with a common mean
+    grid = small_grid(32, length=32.0)
+    model = pfc(0.25)
+    scheme = lmm6_scheme()
+    tau = 0.01
+    rng = np.random.default_rng(11)
+    states = []
+    for _ in range(scheme.k):
+        noise = 0.2 * rng.standard_normal(grid.shape)
+        states.append(0.285 + noise - noise.mean())
+    flow = SpectralFlow(model, grid, scheme, tau)
+    got = flow.step(flow.history(states))
+
+    freq = [2 * np.pi * np.fft.fftfreq(n, d=l / n) for n, l in zip(grid.shape, grid.lengths)]
+    k2 = freq[0][:, None] ** 2 + freq[1][None, :] ** 2
+    m, l = -k2, (1.0 - k2) ** 2 + 1.0
+    A, B, Bhat = (np.array([float(x) for x in c]) for c in (scheme.A, scheme.B, scheme.Bhat))
+    background = np.mean(states[0])
+    rhs = np.zeros(grid.shape, dtype=complex)
+    for i in range(1, scheme.k + 1):
+        w = states[scheme.k - i] - background
+        w_hat = np.fft.fftn(w)
+        f_hat = np.fft.fftn(model.f(w + background))
+        rhs += -A[i] * w_hat + tau * m * (B[i] * l * w_hat + Bhat[i - 1] * f_hat)
+    want = np.fft.ifftn(rhs / (A[0] - tau * m * B[0] * l)).real + background
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+    # every recorded energy is the physical-space energy of the state handed
+    # to on_state
+    seen = {}
+    trace, _ = simulate(
+        model, grid, scheme, None, states[0], tau, n_steps=8,
+        on_state=lambda n, t, u: seen.setdefault(n, u.copy()),
+    )
+    for n, e in zip(trace.steps, trace.energy):
+        u = seen[n]
+        lu = np.fft.ifftn(l * np.fft.fftn(u)).real
+        direct = grid.cell_volume * np.sum(0.5 * u * lu + model.potential(u))
+        assert abs(e - direct) < 1e-12 * abs(direct)
+        assert abs(e - energy(model, grid, u)) < 1e-12 * abs(direct)
 
 
 def test_mass_conservation_zero_mode():
@@ -336,6 +414,23 @@ def test_non_finite_run_raises_with_step():
     u0 = 0.05 * np.random.default_rng(1).standard_normal(grid.shape)
     with np.errstate(all="ignore"), pytest.raises(InvariantViolationError, match="after step"):
         simulate(model, grid, scheme, report, u0, tau=50.0, n_steps=35)
+
+
+def test_run_leaving_truncation_interval_raises():
+    # Allen-Cahn from small noise heads for +-1; the certificate of a model
+    # truncated at R = 0.5 is void once max|u| reaches 0.5
+    grid = small_grid(16)
+    model = allen_cahn(0.1, radius=0.5)
+    scheme = lmm6_scheme()
+    report = certify_scheme(scheme, model.constants())
+    u0 = 0.05 * np.random.default_rng(12).standard_normal(grid.shape)
+    seen = []
+    with pytest.raises(InvariantViolationError, match="truncation radius 0.5 after step"):
+        simulate(
+            model, grid, scheme, report, u0, tau=0.05, n_steps=200,
+            on_state=lambda n, t, u: seen.append(np.max(np.abs(u))),
+        )
+    assert seen and max(seen) < 0.5
 
 
 # ----------------------------------------------------------- study drivers
