@@ -194,6 +194,10 @@ def cmd_simulate(args) -> int:
         if mode != "every" or not value.isdigit():
             raise argparse.ArgumentTypeError("snapshots must look like every:2000")
         on_state = _snapshot_writer("snapshot_{step:06d}", grid, int(value))
+    report = certify.certify_scheme(scheme, model.constants())
+    if report.refused:
+        print(f"refused: {report.refusal_reason}", file=sys.stderr)
+        return EXIT_REFUSED
 
     if args.model == "pfc":
         result = pde.pfc_experiment(
@@ -203,19 +207,16 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
             model=model,
             scheme=scheme,
+            report=report,
             on_state=on_state,
         )
         trace = result.trace
         header = (
             f"model=pfc epsilon={model.epsilon} tau={args.tau} T={args.T} "
             f"seed={args.seed} energy_offset={_fmt(result.energy_offset)} "
-            f"tau_max={_fmt(result.report.tau_max)}"
+            f"tau_max={_fmt(report.tau_max)}"
         )
     else:
-        report = certify.certify_scheme(scheme, model.constants())
-        if report.refused:
-            print(f"refused: {report.refusal_reason}", file=sys.stderr)
-            return EXIT_REFUSED
         rng = np.random.default_rng(args.seed)
         u0 = 0.05 * rng.standard_normal(grid.shape)
         n_steps = max(0, int(round(args.T / args.tau)) - (scheme.k - 1))

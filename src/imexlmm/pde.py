@@ -89,7 +89,8 @@ class History:
 
     Holds the transforms of the deviations from a fixed background mean
     (zero for models that do not conserve mass), of f(u) and of the source;
-    ``state(back)`` inverts on demand and returns the full field.
+    ``state(back)`` inverts on demand and returns the full field.  A source
+    returns the half-spectrum transform of g(t), stored as it comes.
     """
 
     def __init__(self, model, grid, scheme, tau, states, t0=0.0, source=None):
@@ -114,9 +115,7 @@ class History:
             self._g_hat.appendleft(self._source_hat(t0 + j * tau))
 
     def _source_hat(self, t):
-        if self.source is None:
-            return None
-        return self.grid.fft(self.source(t))
+        return None if self.source is None else self.source(t)
 
     def time(self, back: int = 0) -> float:
         return self.t0 + (self.n - back) * self.tau
@@ -218,19 +217,12 @@ def _stage_solver(grid, mhat_lhat, h):
     return np.linalg.inv(mats)
 
 
-def _real_part_inverse(grid, u_hat):
-    """Inverse half-spectrum transform without the Hermitian gate: the
-    self-conjugate planes contribute their Hermitian part only, which is
-    the real part of a full inverse."""
-    return np.fft.irfftn(u_hat, s=grid.shape, axes=grid.axes)
-
-
 def _gauss_substep(model, grid, w, background, t, h, inv_stages, source):
     """One Gauss collocation substep on the deviation field w."""
     w_hat = grid.fft(w)
     mhat = model.m_symbol(grid.k2)
     if source is not None:
-        g_hats = np.stack([grid.fft(source(t + GAUSS_C[i] * h)) for i in range(3)])
+        g_hats = np.stack([source(t + GAUSS_C[i] * h) for i in range(3)])
     else:
         g_hats = None
     stages = np.stack([w, w, w])
@@ -246,8 +238,10 @@ def _gauss_substep(model, grid, w, background, t, h, inv_stages, source):
         ).reshape(rhs.shape)
         # unchecked inverse for iterates: transient non-normal growth of the
         # fixed-point map can push amplified roundoff past the strict gate,
-        # and realification per sweep is itself the symmetry enforcement
-        new_stages = _real_part_inverse(grid, stage_hats)
+        # and realification per sweep is itself the symmetry enforcement (the
+        # self-conjugate planes keep their Hermitian part only, which is the
+        # real part of a full inverse)
+        new_stages = np.fft.irfftn(stage_hats, s=grid.shape, axes=grid.axes)
         residual = float(np.max(np.abs(new_stages - stages)))
         stages = new_stages
         if residual <= STAGE_TOL:
@@ -271,6 +265,7 @@ def gauss_rk6_start(
 ) -> list:
     """Starting values u^0 .. u^{k-1} by 3-stage Gauss collocation.
 
+    ``source(t)``, when given, returns the half-spectrum transform of g(t).
     Stage systems are solved by fixed-point iteration to max-norm residual
     1e-14; if an iteration refuses to contract, the substep is halved, down
     to tau/64 before giving up.
@@ -348,30 +343,19 @@ def modified_energy(
 
     E_G^n = E[u^n] - (1/tau) sum g^a_ij (du_i, M^{-1} du_j)
             + sum g^b_ij (du_i, L du_j) + ell_f sum chat_i ||du_i||^2
-    with du_i = delta u^{n+1-i}, i = 1..k-1, all inner products spectral.
+    with du_i = delta u^{n+1-i}, i = 1..k-1, all inner products spectral;
+    the quadratic parts are the Gram sums of the tracker ``simulate`` uses.
     """
     if report.refused:
         raise ValueError("cannot form modified energy: " + (report.refusal_reason or ""))
     e = energy(model, grid, history.state(0))
     if scheme.k == 1:
         return e
-    deltas = history.delta_hats()
-    _check_zero_mean(model, grid, deltas)
+    _check_zero_mean(model, grid, history.delta_hats())
     mhat = model.m_symbol(grid.k2)
     lhat = model.l_symbol(grid.k2)
-    inv_m = _masked_inverse_m(mhat)
-    chat = [float(c) for c in reform(scheme).chat]
-    Ga, Gb = report.G_a, report.G_b
-    quad_a = quad_b = quad_c = 0.0
-    for i in range(scheme.k - 1):
-        for j in range(scheme.k - 1):
-            if Ga[i, j]:
-                quad_a += Ga[i, j] * grid.spectral_inner(deltas[i], deltas[j], inv_m)
-            if Gb[i, j]:
-                quad_b += Gb[i, j] * grid.spectral_inner(deltas[i], deltas[j], lhat)
-    for i in range(scheme.k - 1):
-        quad_c += chat[i] * grid.spectral_inner(deltas[i], deltas[i])
-    return e - quad_a / history.tau + quad_b + report.constants.ell_f * quad_c
+    tracker = _QuadFormTracker(grid, history, mhat, lhat, report, reform(scheme).chat)
+    return e + tracker.quadratic_parts()
 
 
 class _QuadFormTracker:
@@ -468,7 +452,8 @@ def simulate(
     """Drive a full run and record the energy trace.
 
     The modified energy is recorded from step k-1 on (earlier entries are
-    NaN) and only when a non-refused certificate is supplied.  Returns
+    NaN) and only when a non-refused certificate is supplied.  ``source(t)``,
+    when given, returns the half-spectrum transform of g(t).  Returns
     (trace, history); raises InvariantViolationError at the first state
     whose energy is not finite or whose max|u| reaches the model's
     truncation radius, where the certificate no longer holds.
@@ -524,20 +509,18 @@ class ManufacturedSolution:
 
 
 def discrete_source(model: ModelSpec, grid: Grid, solution: ManufacturedSolution):
-    """Source g with g(t) = u_t - M(L u + f(u)) under the discrete operators,
-    so the sampled exact solution solves the semi-discrete system exactly."""
+    """Half-spectrum transform of the source g(t) = u_t - M(L u + f(u)) under
+    the discrete operators, so the sampled exact solution solves the
+    semi-discrete system exactly."""
     mhat = model.m_symbol(grid.k2)
     lhat = model.l_symbol(grid.k2)
 
-    def g(t: float) -> np.ndarray:
+    def g_hat(t: float) -> np.ndarray:
         u = solution.u(t)
         rhs_hat = mhat * (lhat * grid.fft(u) + grid.fft(model.f(u)))
-        # unchecked inverse: steep symbols amplify transform roundoff above
-        # the strict Hermitian gate, but the implicit solve damps exactly
-        # those modes, so the residue never reaches the solution
-        return solution.u_t(t) - _real_part_inverse(grid, rhs_hat)
+        return grid.fft(solution.u_t(t)) - rhs_hat
 
-    return g
+    return g_hat
 
 
 def trig_mode_solution(grid: Grid) -> ManufacturedSolution:
@@ -570,27 +553,31 @@ def convergence_study(
 ) -> list:
     """Temporal errors against a manufactured solution with matched source.
 
-    e_inf(tau) and e_2(tau) maximize the pointwise / cell-weighted errors over
-    steps n >= k-1; rates compare consecutive entries of n_list.
+    Each N runs through ``simulate``, so its invariant checks cover every
+    run.  e_inf(tau) and e_2(tau) maximize the pointwise / cell-weighted
+    errors over steps n >= k-1; rates compare consecutive entries of n_list.
     """
+    k = scheme.k
     source = discrete_source(model, grid, solution)
     rows = []
     prev = None
     for N in n_list:
-        if N < scheme.k:
-            raise ValueError(f"need at least k={scheme.k} steps, got {N}")
+        if N < k:
+            raise ValueError(f"need at least k={k} steps, got {N}")
         tau = T / N
-        flow = SpectralFlow(model, grid, scheme, tau)
-        states = gauss_rk6_start(model, grid, solution.u(0.0), tau, scheme.k, source=source)
-        history = flow.history(states, source=source)
-        err = states[scheme.k - 1] - solution.u((scheme.k - 1) * tau)
-        e_inf = float(np.max(np.abs(err)))
-        e_two = grid.norm(err)
-        for n in range(scheme.k - 1, N):
-            u = flow.step(history)
-            err = u - solution.u((n + 1) * tau)
-            e_inf = max(e_inf, float(np.max(np.abs(err))))
-            e_two = max(e_two, grid.norm(err))
+        e_inf = e_two = 0.0
+
+        def measure(n, t, u):
+            nonlocal e_inf, e_two
+            if n >= k - 1:
+                err = u - solution.u(t)
+                e_inf = max(e_inf, float(np.max(np.abs(err))))
+                e_two = max(e_two, grid.norm(err))
+
+        simulate(
+            model, grid, scheme, None, solution.u(0.0), tau, N - (k - 1),
+            source=source, on_state=measure,
+        )
         rate_inf = rate_two = None
         if prev is not None:
             span = np.log(N / prev.n_steps)

@@ -167,15 +167,38 @@ def test_usage_error_exit_code(argv, tmp_path, lmm6_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_non_finite_run_exit_code(tmp_path, lmm6_file, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--model", "ac", "--scheme", "{lmm6}",
+         "--grid", "16", "--domain", "6.283185307179586",
+         "--tau", "50", "--T", "2000", "--trace", "{out}"],
+        ["converge", "--example", "ac", "--scheme", "{lmm6}",
+         "--N", "6,8", "--grid", "16", "--T", "50", "--out", "{out}"],
+    ],
+    ids=["simulate", "converge"],
+)
+def test_non_finite_run_exit_code(argv, tmp_path, lmm6_file, capsys):
+    paths = {"lmm6": lmm6_file, "out": tmp_path / "out.csv"}
     with np.errstate(all="ignore"):
-        code = run([
-            "simulate", "--model", "ac", "--scheme", str(lmm6_file),
-            "--grid", "16", "--domain", "6.283185307179586",
-            "--tau", "50", "--T", "2000", "--trace", str(tmp_path / "trace.csv"),
-        ])
+        code = run([token.format(**paths) for token in argv])
     assert code == 3
     assert "after step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["pfc", "ac"])
+def test_simulate_refused_scheme_exit_code(model, tmp_path, capsys):
+    bdf6 = tmp_path / "bdf6.json"
+    assert run(["scheme", "bdf", "--k", "6", "--out", str(bdf6)]) == 0
+    trace = tmp_path / "trace.csv"
+    code = run([
+        "simulate", "--model", model, "--scheme", str(bdf6),
+        "--grid", "16", "--domain", "16", "--tau", "0.01", "--T", "0.1",
+        "--trace", str(trace),
+    ])
+    assert code == 1
+    assert "refused" in capsys.readouterr().err
+    assert not trace.exists()
 
 
 def test_config_file_defaults_with_flag_override(tmp_path, capsys):

@@ -26,7 +26,7 @@ from imexlmm.pde import (
     simulate,
     trig_mode_solution,
 )
-from imexlmm.schemes import bdf_coefficients, lmm6_scheme
+from imexlmm.schemes import bdf_coefficients, lmm6_scheme, reform
 
 
 def small_grid(n=32, length=2 * np.pi):
@@ -403,6 +403,31 @@ def test_modified_energy_dominates_energy_and_decays():
     # rolling tracker agrees with the direct quadratic-form evaluation
     direct = modified_energy(model, grid, history, scheme, report)
     assert direct == pytest.approx(trace.modified_energy[-1], rel=1e-12)
+
+    # independent oracle for the quadratic part E_G - E: differences of the
+    # final window in physical space, full complex spectra, and explicit
+    # loops over the certificate entries
+    freq = [2 * np.pi * np.fft.fftfreq(n, d=l / n) for n, l in zip(grid.shape, grid.lengths)]
+    k2 = freq[0][:, None] ** 2 + freq[1][None, :] ** 2
+    m, l = -k2, (1.0 - k2) ** 2 + 1.0
+    inv_m = np.zeros_like(m)
+    inv_m[m != 0] = 1.0 / m[m != 0]
+    du_hat = [np.fft.fftn(history.state(i - 1) - history.state(i)) for i in range(1, k)]
+
+    def inner(i, j, weight):
+        z = np.conj(du_hat[i]) * weight * du_hat[j]
+        return grid.cell_volume / grid.npoints * float(np.sum(z).real)
+
+    chat = [float(c) for c in reform(scheme).chat]
+    quad = 0.0
+    for i in range(k - 1):
+        for j in range(k - 1):
+            quad -= report.G_a[i, j] / history.tau * inner(i, j, inv_m)
+            quad += report.G_b[i, j] * inner(i, j, l)
+        quad += report.constants.ell_f * chat[i] * inner(i, i, 1.0)
+    assert trace.modified_energy[-1] - trace.energy[-1] == pytest.approx(quad, rel=1e-9)
+    direct_quad = direct - energy(model, grid, history.state(0))
+    assert direct_quad == pytest.approx(quad, rel=1e-9)
 
 
 def test_non_finite_run_raises_with_step():
