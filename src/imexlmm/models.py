@@ -180,7 +180,7 @@ def allen_cahn(epsilon: float, radius: float = 2.0) -> ModelSpec:
         epsilon=epsilon,
         m_symbol=lambda k2: -np.ones_like(k2),
         l_symbol=lambda k2: epsilon ** 2 * k2,
-        f=lambda u: u ** 3 - u,
+        f=lambda u: u * u * u - u,
         potential=lambda u: 0.25 * (u ** 2 - 1.0) ** 2,
         ell_f=cubic_lipschitz_bound(1.0, radius),
         zeta=1.0,
@@ -196,7 +196,7 @@ def cahn_hilliard(epsilon: float, radius: float = 2.0) -> ModelSpec:
         epsilon=epsilon,
         m_symbol=lambda k2: -k2,
         l_symbol=lambda k2: epsilon ** 2 * k2,
-        f=lambda u: u ** 3 - u,
+        f=lambda u: u * u * u - u,
         potential=lambda u: 0.25 * (u ** 2 - 1.0) ** 2,
         ell_f=cubic_lipschitz_bound(1.0, radius),
         zeta=epsilon ** -0.5,
@@ -215,7 +215,7 @@ def pfc(epsilon: float, radius: float = 2.0) -> ModelSpec:
         epsilon=epsilon,
         m_symbol=lambda k2: -k2,
         l_symbol=lambda k2: (1.0 - k2) ** 2 + 1.0,
-        f=lambda u: u ** 3 - (epsilon + 1.0) * u,
+        f=lambda u: u * u * u - (epsilon + 1.0) * u,
         potential=lambda u: 0.25 * (u ** 2 - (1.0 + epsilon)) ** 2,
         ell_f=cubic_lipschitz_bound(epsilon + 1.0, radius),
         zeta=(2.0 * np.sqrt(2.0) - 2.0) ** -0.25,

@@ -185,12 +185,6 @@ class SpectralFlow:
     def history(self, states, t0=0.0, source=None) -> History:
         return History(self.model, self.grid, self.scheme, self.tau, states, t0, source)
 
-    def start(self, u0, t0=0.0, source=None) -> History:
-        states = gauss_rk6_start(
-            self.model, self.grid, u0, self.tau, self.k, source=source, t0=t0
-        )
-        return self.history(states, t0=t0, source=source)
-
     def step(self, history: History) -> np.ndarray:
         """Advance one multistep update; returns the new full field.
 
@@ -217,10 +211,10 @@ def _stage_solver(grid, mhat_lhat, h):
     return np.linalg.inv(mats)
 
 
-def _gauss_substep(model, grid, w, background, t, h, inv_stages, source):
-    """One Gauss collocation substep on the deviation field w."""
+def _gauss_substep(model, grid, mhat, w, background, t, h, inv_stages, source):
+    """One Gauss collocation substep on the deviation field w; mhat is the
+    mobility symbol on grid.k2."""
     w_hat = grid.fft(w)
-    mhat = model.m_symbol(grid.k2)
     if source is not None:
         g_hats = np.stack([source(t + GAUSS_C[i] * h) for i in range(3)])
     else:
@@ -275,7 +269,8 @@ def gauss_rk6_start(
     if k == 1:
         return [np.array(u0, dtype=float, copy=True)]
     background = _background(model, u0)
-    mhat_lhat = model.m_symbol(grid.k2) * model.l_symbol(grid.k2)
+    mhat = model.m_symbol(grid.k2)
+    mhat_lhat = mhat * model.l_symbol(grid.k2)
     last_error = None
     for halving in range(MAX_SUBSTEP_HALVINGS + 1):
         substeps = 2 ** halving
@@ -288,7 +283,7 @@ def gauss_rk6_start(
                 for m in range(substeps):
                     t = t0 + j * tau + m * h
                     w = _gauss_substep(
-                        model, grid, w, background, t, h, inv_stages, source
+                        model, grid, mhat, w, background, t, h, inv_stages, source
                     )
                 states.append(w + background)
             return states

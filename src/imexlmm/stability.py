@@ -30,6 +30,9 @@ __all__ = [
 ROOT_TOL = 1e-7        # |xi| <= 1 + ROOT_TOL counts as inside
 BOUNDARY_BAND = 1e-7   # |xi| >= 1 - BOUNDARY_BAND counts as boundary
 CLUSTER_RADIUS = 1e-6  # two boundary roots closer than this are non-simple
+ROOT_MARGIN = 1e-6     # roots this close to |xi| = 1 are left to eigenvalues
+SCHUR_COHN_BAND = 1e-9  # relative |delta| at or below this is undecided
+POINT_BLOCK = 4096      # points per recursion batch; keeps it in cache
 
 
 class UndefinedAngleError(ValueError):
@@ -100,53 +103,83 @@ def root_condition(coeffs, tol: float = ROOT_TOL) -> RootConditionResult:
     return RootConditionResult(not violations, roots, tuple(violations))
 
 
-def _companion_roots_batch(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of many same-degree polynomials (rows, descending coeffs).
+def _lead_ok(coeffs: np.ndarray) -> np.ndarray:
+    scale = np.max(np.abs(coeffs), axis=1)
+    return np.abs(coeffs[:, 0]) > 1e-12 * np.maximum(scale, 1e-300)
 
-    Rows must have a nonzero leading coefficient; callers handle degenerate
-    rows separately.
+
+def _eigen_stable(coeffs: np.ndarray) -> np.ndarray:
+    """Root condition per row (descending coefficients) from companion
+    eigenvalues; degenerate leading coefficients go through root_condition."""
+    ok_lead = _lead_ok(coeffs)
+    stable = np.zeros(len(coeffs), dtype=bool)
+    if np.any(ok_lead):
+        d = coeffs.shape[1] - 1
+        monic = coeffs[ok_lead] / coeffs[ok_lead, :1]
+        comp = np.zeros((len(monic), d, d), dtype=complex)
+        comp[:, 1:, :-1] = np.eye(d - 1)
+        comp[:, 0, :] = -monic[:, 1:]
+        roots = np.linalg.eigvals(comp)
+        moduli = np.abs(roots)
+        boundary = moduli >= 1.0 - BOUNDARY_BAND
+        pairs = boundary[:, :, None] & boundary[:, None, :] & ~np.tri(d, dtype=bool)
+        close = np.abs(roots[:, :, None] - roots[:, None, :]) < CLUSTER_RADIUS
+        repeated = np.any(pairs & close, axis=(1, 2))
+        stable[ok_lead] = np.all(moduli <= 1.0 + ROOT_TOL, axis=1) & ~repeated
+    for idx in np.nonzero(~ok_lead)[0]:
+        stable[idx] = root_condition(coeffs[idx]).zero_stable
+    return stable
+
+
+def _schur_cohn(cols: np.ndarray):
+    """Batched Schur-Cohn test over descending coefficient columns: masks
+    (every root inside the unit circle, some root outside the closed disk).
+
+    Each step maps p (leading a_n, constant a_0) to (conj(a_n) p - a_0 p*)/z,
+    rescaled, of one degree less and leading delta = |a_n|^2 - |a_0|^2.  By
+    Rouche, delta > 0 keeps the roots on and outside the circle and delta < 0
+    leaves one outside; a delta within the band decides neither.
     """
-    n, deg1 = coeffs.shape
-    d = deg1 - 1
-    monic = coeffs / coeffs[:, :1]
-    comp = np.zeros((n, d, d), dtype=complex)
-    comp[:, 1:, :-1] = np.eye(d - 1)
-    comp[:, 0, :] = -monic[:, 1:]
-    return np.linalg.eigvals(comp)
+    p = cols
+    inside = np.ones(cols.shape[1], dtype=bool)
+    outside = np.zeros_like(inside)
+    while len(p) > 1:
+        an, a0 = p[0], p[-1]
+        an2, a02 = an.real**2 + an.imag**2, a0.real**2 + a0.imag**2
+        delta, band = an2 - a02, SCHUR_COHN_BAND * (an2 + a02)
+        outside |= inside & (delta < -band)
+        inside &= delta > band
+        scale = 1.0 / np.maximum(np.sqrt(an2) + np.sqrt(a02), 1e-300)
+        p = (an.conj() * scale) * p[:-1] - (a0 * scale) * p[:0:-1].conj()
+    return inside, outside
 
 
-def _points_stable(rho, sigma, sigma_hat, zi, ze, tol=ROOT_TOL):
+def _rows_stable(coeffs: np.ndarray) -> np.ndarray:
+    """Root condition per row: Schur-Cohn on p((1 +- ROOT_MARGIN) z), then
+    eigenvalues for roots near the circle and degenerate leading terms."""
+    cols = coeffs.T
+    powers = np.arange(len(cols) - 1, -1, -1)[:, None]
+    below, above = _schur_cohn(cols * (1.0 + ROOT_MARGIN) ** powers)
+    stable = np.zeros_like(below)
+    stable[below] = _schur_cohn(cols[:, below] * (1.0 - ROOT_MARGIN) ** powers)[0]
+    rest = ~(stable | above) | ~_lead_ok(coeffs)
+    if rest.any():
+        stable[rest] = _eigen_stable(coeffs[rest])
+    return stable
+
+
+def _points_stable(rho, sigma, sigma_hat, zi, ze):
     """Vectorized root condition over arrays of (z_I, z_E) pairs."""
     zi = np.asarray(zi, dtype=complex).ravel()
     ze = np.asarray(ze, dtype=complex).ravel()
-    coeffs = (
-        rho[None, :]
-        - zi[:, None] * sigma[None, :]
-        - ze[:, None] * sigma_hat[None, :]
-    )
-    lead = coeffs[:, 0]
-    scale = np.max(np.abs(coeffs), axis=1)
-    ok_lead = np.abs(lead) > 1e-12 * np.maximum(scale, 1e-300)
-    stable = np.zeros(len(zi), dtype=bool)
-    if np.any(ok_lead):
-        roots = _companion_roots_batch(coeffs[ok_lead])
-        moduli = np.abs(roots)
-        inside = np.all(moduli <= 1.0 + tol, axis=1)
-        # boundary simplicity per row
-        simple = np.ones(roots.shape[0], dtype=bool)
-        for idx in np.nonzero(inside)[0]:
-            r = roots[idx]
-            b = r[np.abs(r) >= 1.0 - BOUNDARY_BAND]
-            for i in range(len(b)):
-                for j in range(i + 1, len(b)):
-                    if abs(b[i] - b[j]) < CLUSTER_RADIUS:
-                        simple[idx] = False
-                        break
-                if not simple[idx]:
-                    break
-        stable[ok_lead] = inside & simple
-    for idx in np.nonzero(~ok_lead)[0]:
-        stable[idx] = root_condition(coeffs[idx], tol=tol).zero_stable
+    stable = np.empty(len(zi), dtype=bool)
+    for start in range(0, len(zi), POINT_BLOCK):
+        part = slice(start, start + POINT_BLOCK)
+        stable[part] = _rows_stable(
+            rho[None, :]
+            - zi[part, None] * sigma[None, :]
+            - ze[part, None] * sigma_hat[None, :]
+        )
     return stable
 
 
@@ -206,11 +239,7 @@ def region_slice(
 
 def _ray_stable(rho, sigma, sigma_hat, phi, radii):
     zi = -radii * np.exp(1j * phi)
-    ze = np.zeros_like(zi)
-    if not np.all(_points_stable(rho, sigma, sigma_hat, zi, ze)):
-        return False
-    # r -> infinity limit: the characteristic roots approach those of sigma
-    return root_condition(sigma).zero_stable
+    return bool(np.all(_points_stable(rho, sigma, sigma_hat, zi, np.zeros_like(zi))))
 
 
 def stability_angle(
@@ -232,7 +261,11 @@ def stability_angle(
     if not root_condition(rho).zero_stable:
         raise UndefinedAngleError("scheme is not zero-stable")
     radii = np.logspace(np.log10(r_min), np.log10(r_max), n_radii)
-    if not _ray_stable(rho, sigma, sigma_hat, 0.0, radii):
+    # r -> infinity limit: the characteristic roots approach those of sigma,
+    # so every ray fails with it
+    if not root_condition(sigma).zero_stable or not _ray_stable(
+        rho, sigma, sigma_hat, 0.0, radii
+    ):
         return 0.0
     if _ray_stable(rho, sigma, sigma_hat, np.pi / 2, radii):
         return 90.0

@@ -1,10 +1,12 @@
 """Characteristic polynomials, root condition, slices, sector angles."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from imexlmm import stability
 from imexlmm.schemes import bdf_coefficients, lmm6_scheme, lmm_from_parameters
 from imexlmm.stability import (
     UndefinedAngleError,
@@ -139,3 +141,147 @@ def test_region_slice_rejects_bad_input():
         region_slice(lmm6_scheme(), "sideways")
     with pytest.raises(ValueError):
         region_slice(lmm6_scheme(), "implicit", resolution=1)
+
+
+# ------------------------------------------- Schur-Cohn against eigenvalues
+
+SCHEMES = {f"bdf{k}": bdf_coefficients(k) for k in range(1, 7)}
+SCHEMES["lmm6"] = lmm6_scheme()
+
+# (z_I, z_E) point sets: the three slice planes and the angle rays
+PLANE_WINDOWS = {
+    "implicit": (-15.0, 5.0, -10.0, 10.0),
+    "explicit": (-1.5, 0.5, -1.0, 1.0),
+    "imex": (-15.0, 5.0, -10.0, 10.0),
+}
+
+
+def _point_set(kind):
+    if kind == "rays":
+        phi = np.linspace(0.0, np.pi / 2, 40)
+        zi = (-np.logspace(-3, 6, 200)[None, :] * np.exp(1j * phi[:, None])).ravel()
+        return zi, np.zeros_like(zi)
+    window = PLANE_WINDOWS[kind]
+    re = np.linspace(window[0], window[1], 101)
+    im = np.linspace(window[2], window[3], 101)
+    pts = (re[None, :] + 1j * im[:, None]).ravel()
+    if kind == "implicit":
+        return pts, np.zeros_like(pts)
+    if kind == "explicit":
+        return np.zeros_like(pts), pts
+    return np.full_like(pts, -10.0), pts
+
+
+@pytest.mark.parametrize("kind", ["implicit", "explicit", "imex", "rays"])
+@pytest.mark.parametrize("name", list(SCHEMES))
+def test_schur_cohn_matches_eigenvalue_path(name, kind):
+    rho, sigma, sigma_hat = char_polys(SCHEMES[name]).as_arrays()
+    zi, ze = _point_set(kind)
+    coeffs = (rho[None, :] - zi[:, None] * sigma[None, :]
+              - ze[:, None] * sigma_hat[None, :])
+    mask = stability._points_stable(rho, sigma, sigma_hat, zi, ze)
+    eigen = stability._eigen_stable(coeffs)
+    if kind != "rays":  # the window crosses the region's boundary
+        assert mask.any() and not mask.all()
+    assert np.array_equal(mask, eigen)
+
+
+def test_eigenvalue_path_matches_root_condition():
+    # the batched simplicity check against root_condition's loop over
+    # pairs, on points whose roots sit on or near the unit circle
+    # (xi - 1)^2, roots +-1, roots 0 and 1/2, (xi - 1/2)^2
+    batches = [np.array([[1.0, -2.0, 1.0], [1.0, 0.0, -1.0],
+                         [1.0, -0.5, 0.0], [1.0, -1.0, 0.25]])]
+    y = np.linspace(-2.0, 2.0, 41)
+    for scheme in [bdf_coefficients(k) for k in range(1, 7)] + [lmm6_scheme()]:
+        rho, sigma, sigma_hat = char_polys(scheme).as_arrays()
+        batches.append(rho[None, :] - 1j * y[:, None] * sigma[None, :])
+        batches.append(rho[None, :] - (1e-9 * y[:, None] + 1e-9j) * sigma_hat[None, :])
+    outcomes = set()
+    for batch in batches:
+        expected = [root_condition(r).zero_stable for r in batch]
+        assert stability._eigen_stable(batch).tolist() == expected
+        outcomes.update(expected)
+    assert outcomes == {True, False}
+
+
+def test_rows_near_the_circle_go_to_eigenvalues(monkeypatch):
+    seen = []
+
+    def spy(coeffs):
+        seen.append(coeffs.copy())
+        return eigen_stable(coeffs)
+
+    eigen_stable = stability._eigen_stable
+    monkeypatch.setattr(stability, "_eigen_stable", spy)
+    rows = np.array([
+        [1.0, -0.25, 0.0],    # roots 0, 1/4: decided stable
+        [1.0, 0.0, -4.0],     # roots +-2: decided unstable
+        [1.0, -1.0, 0.0],     # simple root 1: stable
+        [1.0, -2.0, 1.0],     # (xi - 1)^2: unstable
+        [1e-20, 1.0, -0.5],   # degenerate lead, trimmed: root 1/2, stable
+        [0.0, 1.0, -2.0],     # degenerate lead, trimmed: root 2, unstable
+    ], dtype=complex)
+    stable = stability._rows_stable(rows)
+    assert stable.tolist() == [True, False, True, False, True, False]
+    assert len(seen) == 1 and np.array_equal(seen[0], rows[2:])
+
+
+def test_explicit_origin_goes_to_eigenvalues_and_stays_stable(monkeypatch):
+    # z_E = 0 leaves rho, whose root xi = 1 is simple
+    sizes = []
+    eigen_stable = stability._eigen_stable
+    monkeypatch.setattr(
+        stability, "_eigen_stable", lambda c: sizes.append(len(c)) or eigen_stable(c)
+    )
+    for scheme in (bdf_coefficients(6), lmm6_scheme()):
+        s = region_slice(scheme, "explicit", window=(0.0, 1e-12, 0.0, 1e-12),
+                         resolution=2)
+        assert s.mask.all()
+    assert sizes == [4, 4]
+
+
+def test_lmm6_slice_sends_few_points_to_eigensolves(monkeypatch):
+    counted = []
+    eigvals, roots = np.linalg.eigvals, np.roots
+
+    def counting_eigvals(a):
+        counted.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvals(a)
+
+    def counting_roots(p):
+        counted.append(1)
+        return roots(p)
+
+    monkeypatch.setattr(stability.np.linalg, "eigvals", counting_eigvals)
+    monkeypatch.setattr(stability.np, "roots", counting_roots)
+    s = region_slice(lmm6_scheme(), "implicit")
+    assert s.mask.size == 400 * 400
+    assert sum(counted) <= 0.01 * s.mask.size
+
+
+LMM6_SLICE_SHA256 = "d566615df7346f4d9f65c966379ae17ce05677344cf182a4183ec73b131515f3"
+
+
+def test_lmm6_slice_mask_is_the_recorded_one():
+    # recorded from the all-points eigenvalue classifier
+    mask = region_slice(lmm6_scheme(), "implicit").mask
+    assert int(mask.sum()) == 57184
+    assert hashlib.sha256(np.packbits(mask).tobytes()).hexdigest() == LMM6_SLICE_SHA256
+
+
+# angles from the all-points eigenvalue classifier, to the last bit
+RECORDED_ANGLES = {
+    "bdf1": 90.0,
+    "bdf2": 90.0,
+    "bdf3": 86.03832859529345,
+    "bdf4": 73.39874024942222,
+    "bdf5": 51.853728870228224,
+    "bdf6": 17.84092677056606,
+    "lmm6": 26.15924812029335,
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDED_ANGLES))
+def test_stability_angle_is_the_recorded_float(name):
+    assert stability_angle(SCHEMES[name]) == RECORDED_ANGLES[name]
