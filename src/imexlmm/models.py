@@ -144,9 +144,6 @@ class Grid:
         z = u_hat.real * v_hat.real + u_hat.imag * v_hat.imag
         return self.cell_volume / self.npoints * float(np.sum(z * w))
 
-    def apply_symbol(self, symbol: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self.ifft(symbol * self.fft(u))
-
 
 @dataclass(frozen=True)
 class ModelSpec:

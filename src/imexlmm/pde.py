@@ -15,7 +15,6 @@ keeps the recorded mass constant to machine precision over long runs.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -84,13 +83,19 @@ def _background(model: ModelSpec, u0: np.ndarray) -> float:
     return float(np.mean(u0)) if model.mass_conserving else 0.0
 
 
-class History:
-    """Ring buffer of the half-spectrum transforms of the last k states.
+_W, _F, _DELTA, _G = range(4)   # the transform rows of a History slot
 
-    Holds the transforms of the deviations from a fixed background mean
-    (zero for models that do not conserve mass), of f(u) and of the source;
-    ``state(back)`` inverts on demand and returns the full field.  A source
-    returns the half-spectrum transform of g(t), stored as it comes.
+
+class History:
+    """Ring of the half-spectrum transforms of the last k states.
+
+    Slot (head - back) % k holds u^{n-back}: the transforms of its deviation
+    w from a fixed background mean (zero for models that do not conserve
+    mass), of f(u), of the difference w - w_prev (unused in the oldest slot,
+    whose predecessor has left the window) and, when a source is given, of
+    g(t) as the source returns it.  Getters return views into the ring,
+    which ``push`` overwrites k states later; ``state(back)`` inverts on
+    demand and returns the full field.
     """
 
     def __init__(self, model, grid, scheme, tau, states, t0=0.0, source=None):
@@ -100,54 +105,47 @@ class History:
         self.k = k
         self.tau = float(tau)
         self.grid = grid
-        self.model = model
         self.source = source
         self.background = _background(model, states[0])
-        self.n = k - 1          # index of the newest state
         self.t0 = float(t0)
-        self._w_hat = deque(maxlen=k)  # newest first
-        self._f_hat = deque(maxlen=k)
-        self._g_hat = deque(maxlen=k)
-        for j, u in enumerate(states):
+        rows = _G + (source is not None)
+        self._ring = np.zeros((k, rows) + grid.k2.shape, dtype=complex)
+        # the difference rows by slot, each complex mode as its (re, im) pair
+        self.delta_flat = self._ring[:, _DELTA].view(np.float64).reshape(k, -1)
+        self.n = -1             # index of the newest state
+        for u in states:
             w = u - self.background
-            self._w_hat.appendleft(grid.fft(w))
-            self._f_hat.appendleft(grid.fft(model.f(w + self.background)))
-            self._g_hat.appendleft(self._source_hat(t0 + j * tau))
+            self.push(grid.fft(w), grid.fft(model.f(w + self.background)))
 
-    def _source_hat(self, t):
-        return None if self.source is None else self.source(t)
+    def slot(self, back: int = 0) -> np.ndarray:
+        """The transform rows of u^{n-back}, back = 0..k-1."""
+        return self._ring[(self.head - back) % self.k]
 
     def time(self, back: int = 0) -> float:
         return self.t0 + (self.n - back) * self.tau
 
     def state(self, back: int = 0) -> np.ndarray:
         """Full field u^{n-back} for back = 0..k-1."""
-        return self.grid.ifft(self._w_hat[back]) + self.background
-
-    def state_hat(self, back: int = 0) -> np.ndarray:
-        """Transform of the full field u^{n-back}."""
-        u_hat = self._w_hat[back].copy()
-        u_hat.flat[0] += self.background * self.grid.npoints
-        return u_hat
+        return self.grid.ifft(self.slot(back)[_W]) + self.background
 
     def deviation_hat(self, back: int = 0) -> np.ndarray:
-        return self._w_hat[back]
+        return self.slot(back)[_W]
 
-    def f_hat(self, back: int = 0) -> np.ndarray:
-        return self._f_hat[back]
-
-    def g_hat(self, back: int = 0):
-        return self._g_hat[back]
-
-    def delta_hats(self):
-        """Transforms of delta u^{n+1-i} = u^{n+1-i} - u^{n-i}, i = 1..k-1."""
-        return [self._w_hat[i - 1] - self._w_hat[i] for i in range(1, self.k)]
+    def delta_hats(self) -> np.ndarray:
+        """Transforms of delta u^{n+1-i} = u^{n+1-i} - u^{n-i}, i = 1..k-1,
+        stacked in that order."""
+        return self._ring[(self.head - np.arange(self.k - 1)) % self.k, _DELTA]
 
     def push(self, w_hat, f_hat):
+        """Store the next state in the oldest state's slot."""
         self.n += 1
-        self._w_hat.appendleft(w_hat)
-        self._f_hat.appendleft(f_hat)
-        self._g_hat.appendleft(self._source_hat(self.time()))
+        self.head = self.n % self.k     # slot of the newest state
+        slot = self._ring[self.head]
+        np.subtract(w_hat, self.slot(1)[_W], out=slot[_DELTA])
+        slot[_W] = w_hat
+        slot[_F] = f_hat
+        if self.source is not None:
+            slot[_G] = self.source(self.time())
 
 
 class SpectralFlow:
@@ -193,11 +191,11 @@ class SpectralFlow:
         """
         rhs = np.zeros_like(history.deviation_hat(0))
         for i in range(self.k):
-            rhs += self.c[i] * history.deviation_hat(i)
-            rhs += self.d[i] * history.f_hat(i)
-            g_hat = history.g_hat(i)
-            if g_hat is not None:
-                rhs += self.g_coef[i] * g_hat
+            slot = history.slot(i)
+            rhs += self.c[i] * slot[_W]
+            rhs += self.d[i] * slot[_F]
+            if history.source is not None:
+                rhs += self.g_coef[i] * slot[_G]
         rhs *= self.inv_pivot
         u = self.grid.ifft(rhs) + history.background
         history.push(rhs, self.grid.fft(self.model.f(u)))
@@ -315,16 +313,13 @@ def _masked_inverse_m(mhat: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _check_zero_mean(model, grid, delta_hats):
-    if not model.mass_conserving:
-        return
-    zero_index = (0,) * grid.dim
-    for d in delta_hats:
-        mean = abs(d[zero_index]) / grid.npoints
-        if mean > ZERO_MEAN_TOL:
-            raise InvariantViolationError(
-                f"state difference has mean {mean:.3e} under a mass-conserving model"
-            )
+def _check_zero_mean(model, grid, history):
+    zero_modes = history.delta_hats().reshape(history.k - 1, -1)[:, 0]
+    mean = np.max(np.abs(zero_modes)) / grid.npoints
+    if model.mass_conserving and mean > ZERO_MEAN_TOL:
+        raise InvariantViolationError(
+            f"state difference has mean {mean:.3e} under a mass-conserving model"
+        )
 
 
 def modified_energy(
@@ -346,7 +341,7 @@ def modified_energy(
     e = energy(model, grid, history.state(0))
     if scheme.k == 1:
         return e
-    _check_zero_mean(model, grid, history.delta_hats())
+    _check_zero_mean(model, grid, history)
     mhat = model.m_symbol(grid.k2)
     lhat = model.l_symbol(grid.k2)
     tracker = _QuadFormTracker(grid, history, mhat, lhat, report, reform(scheme).chat)
@@ -356,14 +351,14 @@ def modified_energy(
 class _QuadFormTracker:
     """Rolling Gram matrices for the per-step modified energy.
 
-    Each new state shifts every pairwise inner product by one index, so only
-    the new row is computed per step: one real matmul of the new difference,
-    weighted by M^{-1}, L and the identity, against a ring buffer of the
-    last k-1 differences, each complex mode read as its (re, im) float pair.
+    Each new state shifts every pairwise inner product by one lag, so only
+    the new row is computed per step: one real matmul of the newest
+    difference in the history ring, weighted by M^{-1}, L and the identity,
+    against the ring's difference rows, each complex mode read as its
+    (re, im) float pair.
     """
 
     def __init__(self, grid, history, mhat, lhat, report, chat):
-        n = self.k1 = history.k - 1
         weights = np.stack([_masked_inverse_m(mhat), lhat, np.ones_like(lhat)])
         weights *= grid.cell_volume / grid.npoints * grid.multiplicity
         self.weights = np.repeat(weights, 2, axis=-1).reshape(3, -1)
@@ -373,20 +368,15 @@ class _QuadFormTracker:
             np.asarray(report.G_b, dtype=float),
             report.constants.ell_f * np.diag(np.asarray(chat, dtype=float)),
         ])
-        self.head = 0   # ring slot of the newest difference
-        self.ring = np.zeros((n,) + lhat.shape, dtype=complex)
-        self.flat = self.ring.view(np.float64).reshape(n, -1)
-        self.gram = np.zeros((3, n, n))
-        for i in range(n, 0, -1):
-            self.push(history.deviation_hat(i - 1), history.deviation_hat(i))
+        deltas = history.delta_hats().view(np.float64).reshape(history.k - 1, -1)
+        self.gram = (self.weights[:, None] * deltas) @ deltas.T   # by lag
 
-    def push(self, new_hat, old_hat):
-        """Record new_hat - old_hat as the newest difference."""
-        n = self.k1
-        self.head = (self.head + 1) % n
-        np.subtract(new_hat, old_hat, out=self.ring[self.head])
-        row = (self.weights * self.flat[self.head]) @ self.flat.T  # by slot
-        row = row[:, (self.head - np.arange(n)) % n]               # by lag
+    def push(self, history):
+        """Shift in the row of the history's newest difference."""
+        n = self.gram.shape[-1]
+        head, flat = history.head, history.delta_flat
+        row = (self.weights * flat[head]) @ flat.T              # by slot
+        row = row[:, (head - np.arange(n)) % history.k]         # by lag
         self.gram[:, 1:, 1:] = self.gram[:, :-1, :-1].copy()
         self.gram[:, 0, :] = row
         self.gram[:, :, 0] = row
@@ -487,11 +477,12 @@ def simulate(
     for j, u in enumerate(states):
         record(j, u, energy(model, grid, u, lhat=flow.lhat), j == k - 1)
     for n in range(k, k + n_steps):
-        prev_hat = history.deviation_hat(0)
         u = flow.step(history)
         if tracker is not None:
-            tracker.push(history.deviation_hat(0), prev_hat)
-        record(n, u, energy(model, grid, u, history.state_hat(0), flow.lhat), True)
+            tracker.push(history)
+        u_hat = history.deviation_hat(0).copy()   # transform of u itself
+        u_hat.flat[0] += history.background * grid.npoints
+        record(n, u, energy(model, grid, u, u_hat, flow.lhat), True)
     return trace, history
 
 
@@ -611,9 +602,6 @@ class PfcExperimentResult:
     report: DissipationReport
     energy_offset: float       # additive constant vs the conventional energy
     max_abs: float
-    # False on every result: simulate raises at the first state that leaves
-    # the truncation interval
-    truncation_violated: bool
     seed: int
 
 
@@ -664,6 +652,5 @@ def pfc_experiment(
         report=report,
         energy_offset=offset,
         max_abs=max(trace.max_abs),
-        truncation_violated=False,
         seed=seed,
     )

@@ -33,6 +33,7 @@ CLUSTER_RADIUS = 1e-6  # two boundary roots closer than this are non-simple
 ROOT_MARGIN = 1e-6     # roots this close to |xi| = 1 are left to eigenvalues
 SCHUR_COHN_BAND = 1e-9  # relative |delta| at or below this is undecided
 POINT_BLOCK = 4096      # points per recursion batch; keeps it in cache
+LEAD_TOL = 1e-14        # |a_n| <= LEAD_TOL * max|a| drops the polynomial's degree
 
 
 class UndefinedAngleError(ValueError):
@@ -75,15 +76,16 @@ class RootConditionResult:
 def root_condition(coeffs, tol: float = ROOT_TOL) -> RootConditionResult:
     """Root condition for a complex-coefficient polynomial (descending).
 
-    Leading near-zeros are trimmed (degree degenerates continuously as the
-    implicit weight grows); a degree-0 polynomial is vacuously stable.
+    Leading near-zeros (relative LEAD_TOL) are trimmed: the degree degenerates
+    continuously as the implicit weight grows; a degree-0 polynomial is
+    vacuously stable.
     """
     c = np.asarray(coeffs, dtype=complex)
     mags = np.abs(c)
     scale = mags.max()
     if scale == 0.0:
         raise ValueError("zero polynomial has no root condition")
-    lead = int(np.argmax(mags > 1e-14 * scale))
+    lead = int(np.argmax(mags > LEAD_TOL * scale))
     c = c[lead:]
     if len(c) <= 1:
         return RootConditionResult(True, np.empty(0, dtype=complex), ())
@@ -105,7 +107,7 @@ def root_condition(coeffs, tol: float = ROOT_TOL) -> RootConditionResult:
 
 def _lead_ok(coeffs: np.ndarray) -> np.ndarray:
     scale = np.max(np.abs(coeffs), axis=1)
-    return np.abs(coeffs[:, 0]) > 1e-12 * np.maximum(scale, 1e-300)
+    return np.abs(coeffs[:, 0]) > LEAD_TOL * np.maximum(scale, 1e-300)
 
 
 def _eigen_stable(coeffs: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from imexlmm.certify import certify_scheme
+from imexlmm import pde
 from imexlmm.models import (
     Grid,
     HermitianViolationError,
@@ -324,7 +325,7 @@ def test_energy_matches_direct_quadrature():
     got = energy(model, grid, u)
     # independent oracle: apply L spectrally, then accumulate the quadrature
     # with an explicit double loop
-    lu = grid.apply_symbol(model.l_symbol(grid.k2), u)
+    lu = grid.ifft(model.l_symbol(grid.k2) * grid.fft(u))
     acc = 0.0
     for i in range(grid.shape[0]):
         for j in range(grid.shape[1]):
@@ -430,6 +431,88 @@ def test_modified_energy_dominates_energy_and_decays():
     assert direct_quad == pytest.approx(quad, rel=1e-9)
 
 
+def test_history_ring_matches_plain_transforms():
+    # 2k+1 pushes wrap the k-slot ring twice: after each one, every slot
+    # must read back the transforms of a plain list kept in lag order, and
+    # the tracker's rolling Gram matrices the ones of its differences
+    grid = small_grid(16)
+    model = pfc(0.25)
+    scheme = lmm6_scheme()
+    k = scheme.k
+    report = certify_scheme(scheme, model.constants())
+    flow = SpectralFlow(model, grid, scheme, tau=0.01)
+    mode = np.sin(grid.coordinates()[0])
+
+    def source(t):
+        return grid.fft(np.cos(t) * mode)
+
+    rng = np.random.default_rng(11)
+    fields = [0.285 + 0.1 * rng.uniform(-1, 1, grid.shape) for _ in range(3 * k + 1)]
+    history = flow.history(fields[:k], t0=0.5, source=source)
+    tracker = pde._QuadFormTracker(
+        grid, history, flow.mhat, flow.lhat, report, reform(scheme).chat
+    )
+    background = float(np.mean(fields[0]))
+    w_hats = [grid.fft(u - background) for u in fields]
+    # f of the deviation plus background, as History forms the first k
+    f_hats = [grid.fft(model.f(u - background + background)) for u in fields]
+    for n in range(k - 1, len(fields)):
+        if n >= k:
+            history.push(w_hats[n], f_hats[n])
+            tracker.push(history)
+        for i in range(k):
+            t = 0.5 + (n - i) * 0.01
+            assert history.time(i) == pytest.approx(t, abs=1e-15)
+            assert np.array_equal(history.deviation_hat(i), w_hats[n - i])
+            assert np.array_equal(history.slot(i)[pde._F], f_hats[n - i])
+            assert np.array_equal(history.slot(i)[pde._G], source(history.time(i)))
+            assert np.allclose(history.state(i), fields[n - i], rtol=0, atol=1e-14)
+        deltas = history.delta_hats()
+        expected = [w_hats[n - i] - w_hats[n - i - 1] for i in range(k - 1)]
+        assert np.array_equal(deltas, expected)
+        flat = deltas.view(np.float64).reshape(k - 1, -1)
+        gram = (tracker.weights[:, None] * flat) @ flat.T
+        assert np.max(np.abs(tracker.gram - gram)) <= 1e-12 * np.max(np.abs(gram))
+
+
+def test_multistep_update_costs_three_transforms(monkeypatch):
+    # per update: one inverse transform for f(u) with its residue check of
+    # the self-conjugate planes, one forward transform of f(u); the energy
+    # and the Gram tracker reuse the transforms in hand
+    counts = {"steps": 0, "ffts": 0, "inside": False}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            counts["ffts"] += counts["inside"]
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def spanned(fn, is_step):
+        def wrapper(*args, **kwargs):
+            counts["steps"] += is_step
+            counts["inside"] = counts["steps"] > 0   # from the first update on
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                counts["inside"] = False
+        return wrapper
+
+    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+                 "rfft", "rfft2", "rfftn", "irfft", "irfft2", "irfftn"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    monkeypatch.setattr(pde.SpectralFlow, "step", spanned(pde.SpectralFlow.step, True))
+    monkeypatch.setattr(pde, "energy", spanned(pde.energy, False))
+    grid = Grid((32, 32), (32.0, 32.0))
+    model = pfc(0.25)
+    scheme = lmm6_scheme()
+    report = certify_scheme(scheme, model.constants())
+    u0 = 0.285 + 0.1 * np.random.default_rng(5).uniform(-1, 1, grid.shape)
+    trace, _ = simulate(model, grid, scheme, report, u0, tau=0.01, n_steps=12)
+    assert np.isfinite(trace.modified_energy[-1])
+    assert counts["steps"] == 12
+    assert counts["ffts"] == 3 * 12
+
+
 def test_non_finite_run_raises_with_step():
     # far beyond tau_max the Allen-Cahn run overflows within a few steps
     grid = small_grid(16)
@@ -501,7 +584,7 @@ def test_pfc_experiment_records_offset_and_mass():
     assert result.energy_offset == pytest.approx((1.25 ** 2 / 4) * 32.0 * 32.0)
     masses = result.trace.mass
     assert max(masses) - min(masses) < 1e-12 * abs(masses[0])
-    assert not result.truncation_violated
+    assert result.max_abs < pfc(0.25).truncation_radius   # the default model
     assert result.max_abs < 2.0
 
 

@@ -227,6 +227,19 @@ def test_rows_near_the_circle_go_to_eigenvalues(monkeypatch):
     assert len(seen) == 1 and np.array_equal(seen[0], rows[2:])
 
 
+@pytest.mark.parametrize("lead, expected", [(1e-13, False), (1e-15, True)])
+def test_degenerate_lead_is_decided_by_one_threshold(lead, expected):
+    # lead * xi^2 + xi - 1/2: a lead above LEAD_TOL keeps the root near
+    # -1/lead (unstable), one below it is trimmed to the root 1/2 (stable);
+    # the batched paths call the lead degenerate exactly where
+    # root_condition drops the degree
+    row = np.array([[lead, 1.0, -0.5]], dtype=complex)
+    assert stability._lead_ok(row)[0] == (len(root_condition(row[0]).roots) == 2)
+    assert stability._rows_stable(row).tolist() == [expected]
+    assert stability._eigen_stable(row).tolist() == [expected]
+    assert root_condition(row[0]).zero_stable == expected
+
+
 def test_explicit_origin_goes_to_eigenvalues_and_stays_stable(monkeypatch):
     # z_E = 0 leaves rho, whose root xi = 1 is simple
     sizes = []
