@@ -82,9 +82,6 @@ class QuadExt:
             return o
         return QuadExt(self.p - o.p, self.q - o.q)
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __neg__(self):
         return QuadExt(-self.p, -self.q)
 
@@ -130,21 +127,6 @@ class QuadExt:
 
     def is_nonnegative(self) -> bool:
         return not self or self.is_positive()
-
-    def __lt__(self, other):
-        return (self._coerce(other) - self).is_positive()
-
-    def __le__(self, other):
-        return (self._coerce(other) - self).is_nonnegative()
-
-    def __gt__(self, other):
-        return (self - self._coerce(other)).is_positive()
-
-    def __ge__(self, other):
-        return (self - self._coerce(other)).is_nonnegative()
-
-    def __float__(self):
-        return float(self.p) + float(self.q) * 3.0 ** 0.5
 
     def __repr__(self):
         return f"QuadExt({self.p!r}, {self.q!r})"
@@ -203,6 +185,9 @@ def evaluate_feasibility(w) -> FeasibilityResult:
     )
 
 
+SEARCH_STARTS = 20  # pattern-search starting points per call
+
+
 @dataclass(frozen=True)
 class SearchResult:
     w: ParameterVector
@@ -217,14 +202,13 @@ def search_feasible(
     budget: int = 2000,
     seed: int = 0,
     kappa: float = 1.0,
-    restarts: int = 20,
 ) -> SearchResult:
     """Derivative-free search for a feasible parameter vector.
 
     Maximizes min(min_a, min_b/kappa) by coordinate pattern search with
-    step halving, restarted from the known six-step point (when k = 6), the
-    BDF point w = 0, and seeded random vectors.  Deterministic for a fixed
-    seed; returns the best candidate found even when infeasible.
+    step halving from SEARCH_STARTS starts: the known six-step point (when
+    k = 6), the BDF point w = 0, and seeded random vectors.  Deterministic
+    for a fixed seed; returns the best candidate found even when infeasible.
     """
     if k < 2:
         raise ValueError("search needs k >= 2")
@@ -241,7 +225,7 @@ def search_feasible(
     if k == 6:
         starts.append([float(x) for x in lmm6_parameters().w])
     starts.append([0.0] * k)
-    while len(starts) < restarts:
+    while len(starts) < SEARCH_STARTS:
         starts.append([rng.uniform(-50.0, 50.0) for _ in range(k)])
     share = max(2 * k + 1, budget // len(starts))
 
@@ -292,16 +276,7 @@ class FarkasSystem:
     def residuals(self, w) -> list:
         """q - Q w; feasibility of w means all entries nonnegative."""
         w = [x if isinstance(x, QuadExt) else QuadExt(Fraction(x)) for x in w]
-        out = []
-        for row, qi in zip(self.Q, self.q):
-            acc = QuadExt(0)
-            for c, x in zip(row, w):
-                acc = acc + c * x
-            out.append(qi - acc)
-        return out
-
-    def satisfied_by(self, w) -> bool:
-        return all(r.is_nonnegative() for r in self.residuals(w))
+        return [qi - x for qi, x in zip(self.q, exactalg.matvec(self.Q, w))]
 
 
 def build_farkas_system(k: int = 7) -> FarkasSystem:
@@ -402,20 +377,10 @@ def verify_farkas_certificate() -> FarkasReport:
     strict negativity of q^T lambda.
     """
     system = build_farkas_system(7)
-    rows = len(system.Q)
-    cols = system.k
-
-    def qt(vec):
-        out = []
-        for j in range(cols):
-            acc = QuadExt(0)
-            for i in range(rows):
-                acc = acc + system.Q[i][j] * vec[i]
-            out.append(acc)
-        return out
+    Qt = list(zip(*system.Q))
 
     for idx, r in enumerate(kernel_vectors(), start=1):
-        if any(qt(r)):
+        if any(exactalg.matvec(Qt, r)):
             raise CertificateInvalidError(f"Q^T r({idx}) != 0")
 
     lam = certificate_multipliers()
@@ -430,12 +395,10 @@ def verify_farkas_certificate() -> FarkasReport:
     }
     if nonzeros != expected:
         raise CertificateInvalidError(f"unexpected lambda support {nonzeros}")
-    if any(qt(lam)):
+    if any(exactalg.matvec(Qt, lam)):
         raise CertificateInvalidError("Q^T lambda != 0")
 
-    qtl = QuadExt(0)
-    for qi, li in zip(system.q, lam):
-        qtl = qtl + qi * li
+    (qtl,) = exactalg.matvec([system.q], lam)
     if not (-qtl).is_positive():
         raise CertificateInvalidError(f"q^T lambda = {qtl} is not negative")
     return FarkasReport(system=system, lam=lam, qt_lambda=qtl)

@@ -185,14 +185,16 @@ def _snapshot_writer(pattern: str, grid: Grid, every: int):
 
 
 def cmd_simulate(args) -> int:
+    if not args.tau > 0.0:
+        raise ValueError(f"--tau must be positive, got {args.tau}")
     scheme = _load_scheme(args.scheme)
     model = MODEL_BUILDERS[args.model](args.epsilon)
     grid = Grid((args.grid, args.grid), (args.domain, args.domain))
     on_state = None
     if args.snapshots:
         mode, _, value = args.snapshots.partition(":")
-        if mode != "every" or not value.isdigit():
-            raise argparse.ArgumentTypeError("snapshots must look like every:2000")
+        if mode != "every" or not value.isdigit() or int(value) < 1:
+            raise argparse.ArgumentTypeError("snapshots must look like every:N with N >= 1")
         on_state = _snapshot_writer("snapshot_{step:06d}", grid, int(value))
     report = certify.certify_scheme(scheme, model.constants())
     if report.refused:
@@ -339,15 +341,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(argv):
-    """Expand a key=value config file into trailing flags.
+    """Expand a key=value config file (``--config FILE`` or ``--config=FILE``)
+    into trailing flags.
 
     Explicit flags win: a key is skipped whenever its flag already appears
     in argv (in either --flag value or --flag=value form).
     """
-    if "--config" not in argv:
+    for idx, token in enumerate(argv):
+        flag, eq, value = token.partition("=")
+        if flag == "--config":
+            path = Path(value if eq else argv[idx + 1])
+            break
+    else:
         return argv
-    idx = argv.index("--config")
-    path = Path(argv[idx + 1])
     extra = []
     present = {token.split("=", 1)[0] for token in argv if token.startswith("--")}
     for line in path.read_text().splitlines():

@@ -77,6 +77,7 @@ STAGE_TOL = 1e-14
 MAX_STAGE_ITERS = 200
 MAX_SUBSTEP_HALVINGS = 6
 ZERO_MEAN_TOL = 1e-10
+PFC_MEAN_LEVEL = 0.285  # mean of the grain-growth initial datum
 
 
 def _background(model: ModelSpec, u0: np.ndarray) -> float:
@@ -253,7 +254,6 @@ def gauss_rk6_start(
     tau: float,
     k: int,
     source: Callable[[float], np.ndarray] | None = None,
-    t0: float = 0.0,
 ) -> list:
     """Starting values u^0 .. u^{k-1} by 3-stage Gauss collocation.
 
@@ -279,7 +279,7 @@ def gauss_rk6_start(
             w = u0 - background
             for j in range(k - 1):
                 for m in range(substeps):
-                    t = t0 + j * tau + m * h
+                    t = j * tau + m * h
                     w = _gauss_substep(
                         model, grid, mhat, w, background, t, h, inv_stages, source
                     )
@@ -431,7 +431,6 @@ def simulate(
     tau: float,
     n_steps: int,
     source: Callable[[float], np.ndarray] | None = None,
-    t0: float = 0.0,
     on_state: Callable[[int, float, np.ndarray], None] | None = None,
 ) -> tuple:
     """Drive a full run and record the energy trace.
@@ -445,8 +444,8 @@ def simulate(
     """
     flow = SpectralFlow(model, grid, scheme, tau)
     k = scheme.k
-    states = gauss_rk6_start(model, grid, u0, tau, k, source=source, t0=t0)
-    history = flow.history(states, t0=t0, source=source)
+    states = gauss_rk6_start(model, grid, u0, tau, k, source=source)
+    history = flow.history(states, source=source)
     radius = model.truncation_radius
     certified = report is not None and not report.refused
     tracker = None
@@ -458,7 +457,7 @@ def simulate(
     trace = EnergyTrace()
 
     def record(step, u, e, window_full):
-        t = t0 + step * tau
+        t = step * tau
         max_abs = float(np.max(np.abs(u)))
         if not math.isfinite(e):
             raise InvariantViolationError(f"energy is {e} after step {step} (t = {t})")
@@ -614,17 +613,18 @@ def pfc_experiment(
     model: ModelSpec | None = None,
     scheme: SchemeCoefficients | None = None,
     report: DissipationReport | None = None,
-    mean_level: float = 0.285,
     on_state=None,
 ) -> PfcExperimentResult:
     """Crystal grain growth from localized random perturbations.
 
-    The initial datum is mean_level + A(x, y) * uniform(-1, 1) with A the
+    The initial datum is PFC_MEAN_LEVEL + A(x, y) * uniform(-1, 1) with A the
     piecewise patch amplitude and a seeded 64-bit generator.  Runs the
     six-step scheme by default and records the energy trace; a solution that
     leaves the truncation interval voids the certificate, and ``simulate``
     raises InvariantViolationError there.
     """
+    if not tau > 0.0:
+        raise ValueError(f"tau must be positive, got {tau}")
     model = model or pfc(0.25)
     scheme = scheme or lmm6_scheme()
     report = report or certify_scheme(scheme, model.constants())
@@ -638,7 +638,7 @@ def pfc_experiment(
             inside &= np.abs(coords[axis] - c) <= patch.side / 2.0
         amp[inside] = patch.amplitude
     rng = np.random.default_rng(seed)
-    u0 = mean_level + amp * rng.uniform(-1.0, 1.0, grid.shape)
+    u0 = PFC_MEAN_LEVEL + amp * rng.uniform(-1.0, 1.0, grid.shape)
 
     n_steps = int(round(T / tau)) - (scheme.k - 1)
     if n_steps < 0:

@@ -41,12 +41,6 @@ class SchemeError(ValueError):
     """A coefficient table that violates the multistep contract."""
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, float):
-        return Fraction(x)  # exact binary value; callers wanting decimals pass str
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class SchemeCoefficients:
     """Coefficient table (k, A_0..A_k, B_0..B_k, Bhat_1..Bhat_k)."""
@@ -63,9 +57,9 @@ class SchemeCoefficients:
             raise SchemeError("A and B must have length k+1")
         if len(self.Bhat) != self.k:
             raise SchemeError("Bhat must have length k")
-        object.__setattr__(self, "A", tuple(_frac(x) for x in self.A))
-        object.__setattr__(self, "B", tuple(_frac(x) for x in self.B))
-        object.__setattr__(self, "Bhat", tuple(_frac(x) for x in self.Bhat))
+        object.__setattr__(self, "A", tuple(Fraction(x) for x in self.A))
+        object.__setattr__(self, "B", tuple(Fraction(x) for x in self.B))
+        object.__setattr__(self, "Bhat", tuple(Fraction(x) for x in self.Bhat))
         if self.A[0] == 0:
             raise SchemeError("A_0 must be nonzero (implicit solve ill-posed)")
         if self.B[0] == 0:
@@ -114,10 +108,6 @@ class ReformedCoefficients:
     bhat: tuple
     chat: tuple
 
-    @property
-    def k(self) -> int:
-        return len(self.a)
-
 
 @dataclass(frozen=True)
 class ParameterVector:
@@ -128,7 +118,7 @@ class ParameterVector:
     def __post_init__(self):
         if len(self.w) < 1:
             raise SchemeError("parameter vector must have length k >= 1")
-        object.__setattr__(self, "w", tuple(_frac(x) for x in self.w))
+        object.__setattr__(self, "w", tuple(Fraction(x) for x in self.w))
 
     @property
     def k(self) -> int:
@@ -144,31 +134,21 @@ class OrderReport:
     implicit_residuals: tuple
     explicit_residuals: tuple
 
-    def satisfied(self, m: int) -> bool:
-        return (
-            not self.consistency_residual
-            and not self.implicit_residuals[m]
-            and not self.explicit_residuals[m]
-        )
-
 
 def _nodes(first: int, last: int):
     return [Fraction(-i) for i in range(first, last + 1)]
 
 
 def bdf_coefficients(k: int) -> SchemeCoefficients:
-    """IMEX backward-differentiation table: B = e_0, A and Bhat from the
-    order conditions.  Only k = 1..6 are zero-stable and supported."""
+    """IMEX backward-differentiation table: the member w = 0 of the family.
+
+    With w_k = B_k = 0 and the moment sums w_1..w_{k-1} all zero, the order
+    conditions leave B = e_0, and A and Bhat are the BDF tables.  Only
+    k = 1..6 are zero-stable and supported.
+    """
     if not 1 <= k <= 6:
         raise ValueError(f"BDF step count must be in 1..6, got {k}")
-    w1 = exactalg.vandermonde_transposed(_nodes(0, k))
-    rhs_a = [Fraction(0), Fraction(1)] + [Fraction(0)] * (k - 1)
-    A = exactalg.solve(w1, rhs_a)
-    w3 = exactalg.vandermonde_transposed(_nodes(1, k))
-    rhs_bh = [Fraction(1)] + [Fraction(0)] * (k - 1)
-    Bhat = exactalg.solve(w3, rhs_bh)
-    B = (Fraction(1),) + (Fraction(0),) * k
-    return SchemeCoefficients(k=k, A=tuple(A), B=B, Bhat=tuple(Bhat))
+    return lmm_from_parameters([0] * k)
 
 
 @functools.lru_cache(maxsize=None)

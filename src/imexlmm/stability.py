@@ -34,6 +34,8 @@ ROOT_MARGIN = 1e-6     # roots this close to |xi| = 1 are left to eigenvalues
 SCHUR_COHN_BAND = 1e-9  # relative |delta| at or below this is undecided
 POINT_BLOCK = 4096      # points per recursion batch; keeps it in cache
 LEAD_TOL = 1e-14        # |a_n| <= LEAD_TOL * max|a| drops the polynomial's degree
+ANGLE_RADII = (1e-3, 1e6)  # smallest and largest sampled |z_I| on a ray
+BISECTION_ITERS = 42       # halvings of the angle bracket
 
 
 class UndefinedAngleError(ValueError):
@@ -73,7 +75,7 @@ class RootConditionResult:
     violations: tuple
 
 
-def root_condition(coeffs, tol: float = ROOT_TOL) -> RootConditionResult:
+def root_condition(coeffs) -> RootConditionResult:
     """Root condition for a complex-coefficient polynomial (descending).
 
     Leading near-zeros (relative LEAD_TOL) are trimmed: the degree degenerates
@@ -93,7 +95,7 @@ def root_condition(coeffs, tol: float = ROOT_TOL) -> RootConditionResult:
     violations = []
     moduli = np.abs(roots)
     for r, m in zip(roots, moduli):
-        if m > 1.0 + tol:
+        if m > 1.0 + ROOT_TOL:
             violations.append(f"root {r:.6g} has modulus {m:.9g} > 1")
     boundary = roots[moduli >= 1.0 - BOUNDARY_BAND]
     for i in range(len(boundary)):
@@ -244,24 +246,22 @@ def _ray_stable(rho, sigma, sigma_hat, phi, radii):
     return bool(np.all(_points_stable(rho, sigma, sigma_hat, zi, np.zeros_like(zi))))
 
 
-def stability_angle(
-    s: SchemeCoefficients,
-    n_radii: int = 200,
-    r_min: float = 1e-3,
-    r_max: float = 1e6,
-    bisection_iters: int = 42,
-) -> float:
+def stability_angle(s: SchemeCoefficients, n_radii: int = 200) -> float:
     """Largest sector half-angle (degrees, capped at 90) such that every
     sampled implicit point z_I = -r e^{i phi}, |phi| <= angle, is stable.
 
     Bisection on the angle; each ray is sampled at n_radii logarithmic radii
-    plus the r -> infinity check on sigma.  Real coefficients make the region
-    conjugate-symmetric, so only nonnegative angles are scanned.
+    in ANGLE_RADII plus the r -> infinity check on sigma.  Real coefficients
+    make the region conjugate-symmetric, so only nonnegative angles are
+    scanned.
     """
+    if n_radii < 1:
+        raise ValueError(f"n_radii must be >= 1, got {n_radii}")
     polys = char_polys(s)
     rho, sigma, sigma_hat = polys.as_arrays()
     if not root_condition(rho).zero_stable:
         raise UndefinedAngleError("scheme is not zero-stable")
+    r_min, r_max = ANGLE_RADII
     radii = np.logspace(np.log10(r_min), np.log10(r_max), n_radii)
     # r -> infinity limit: the characteristic roots approach those of sigma,
     # so every ray fails with it
@@ -272,7 +272,7 @@ def stability_angle(
     if _ray_stable(rho, sigma, sigma_hat, np.pi / 2, radii):
         return 90.0
     lo, hi = 0.0, np.pi / 2
-    for _ in range(bisection_iters):
+    for _ in range(BISECTION_ITERS):
         mid = 0.5 * (lo + hi)
         if _ray_stable(rho, sigma, sigma_hat, mid, radii):
             lo = mid

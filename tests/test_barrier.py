@@ -1,11 +1,15 @@
 """Exact Q(sqrt(3)) arithmetic and the seven-step infeasibility certificate."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from imexlmm import barrier
 from imexlmm.barrier import (
+    CertificateInvalidError,
+    FarkasSystem,
     QuadExt,
     build_farkas_system,
     certificate_multipliers,
@@ -162,6 +166,62 @@ def test_certificate_verifies_exactly():
     # q^T lambda, exact dot product in the extension field
     assert report.qt_lambda == q3(F(-107, 112), F(107, 336))
     assert (-report.qt_lambda).is_positive()
+
+
+def _corrupt_kernel_vector(monkeypatch):
+    r1, r2, r3 = kernel_vectors()
+    r2 = r2[:4] + (r2[4] + q3(F(1, 1000)),) + r2[5:]
+    monkeypatch.setattr(barrier, "kernel_vectors", lambda: (r1, r2, r3))
+
+
+def _replace_multipliers(monkeypatch, index, value):
+    lam = list(certificate_multipliers())
+    lam[index - 1] = value
+    monkeypatch.setattr(barrier, "certificate_multipliers", lambda: tuple(lam))
+
+
+def _negate_lambda_entry(monkeypatch):
+    _replace_multipliers(monkeypatch, 5, -certificate_multipliers()[4])
+
+
+def _widen_lambda_support(monkeypatch):
+    _replace_multipliers(monkeypatch, 1, q3(1))
+
+
+def _break_lambda_kernel(monkeypatch):
+    # zero kernel vectors pass their identity for any Q; one changed entry of
+    # Q in row 13, where lambda is 1, then leaves lambda outside the kernel
+    system = build_farkas_system(7)
+    lam = certificate_multipliers()
+    Q = [list(row) for row in system.Q]
+    Q[12][6] = Q[12][6] + q3(1)
+    broken = FarkasSystem(k=7, Q=tuple(tuple(row) for row in Q), q=system.q)
+    monkeypatch.setattr(barrier, "build_farkas_system", lambda k: broken)
+    monkeypatch.setattr(barrier, "kernel_vectors", lambda: ((q3(0),) * 14,) * 3)
+    monkeypatch.setattr(barrier, "certificate_multipliers", lambda: lam)
+
+
+def _flip_q_sign(monkeypatch):
+    system = build_farkas_system(7)
+    flipped = FarkasSystem(k=7, Q=system.Q, q=tuple(-x for x in system.q))
+    monkeypatch.setattr(barrier, "build_farkas_system", lambda k: flipped)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_corrupt_kernel_vector, "Q^T r(2) != 0"),
+        (_negate_lambda_entry, "lambda has a negative entry"),
+        (_widen_lambda_support, "unexpected lambda support"),
+        (_break_lambda_kernel, "Q^T lambda != 0"),
+        (_flip_q_sign, "is not negative"),
+    ],
+    ids=["kernel-vector", "negative-lambda", "lambda-support", "lambda-kernel", "q-sign"],
+)
+def test_certificate_refuses_corrupted_input(corrupt, message, monkeypatch):
+    corrupt(monkeypatch)
+    with pytest.raises(CertificateInvalidError, match=re.escape(message)):
+        verify_farkas_certificate()
 
 
 def test_kernel_vectors_annihilate_Q():

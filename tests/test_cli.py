@@ -153,11 +153,19 @@ def test_determinism_byte_identical(tmp_path, lmm6_file):
         ["scheme", "bdf", "--k", "9"],
         ["certify", "--scheme", "{lmm6}", "--ell-f=-1", "--zeta", "1", "--eta", "1"],
         ["certify", "--scheme", "{missing}", "--ell-f", "1", "--zeta", "1", "--eta", "1"],
+        ["simulate", "--model", "ac", "--scheme", "{lmm6}", "--grid", "16",
+         "--tau", "0", "--T", "1", "--trace", "{out}"],
+        ["simulate", "--model", "pfc", "--scheme", "{lmm6}", "--grid", "16",
+         "--tau", "0", "--T", "1", "--trace", "{out}"],
+        ["simulate", "--model", "ac", "--scheme", "{lmm6}", "--grid", "16",
+         "--tau", "0.01", "--T", "0.1", "--snapshots", "every:0", "--trace", "{out}"],
+        ["stability", "angle", "--scheme", "{lmm6}", "--radii", "0"],
     ],
-    ids=["unknown-flag", "bdf-k9", "negative-ell-f", "missing-scheme"],
+    ids=["unknown-flag", "bdf-k9", "negative-ell-f", "missing-scheme",
+         "ac-tau-0", "pfc-tau-0", "snapshots-every-0", "angle-radii-0"],
 )
 def test_usage_error_exit_code(argv, tmp_path, lmm6_file, capsys):
-    paths = {"lmm6": lmm6_file, "missing": tmp_path / "missing.json"}
+    paths = {"lmm6": lmm6_file, "missing": tmp_path / "missing.json", "out": tmp_path / "out.csv"}
     argv = [token.format(**paths) for token in argv]
     try:
         code = run(argv)
@@ -165,6 +173,7 @@ def test_usage_error_exit_code(argv, tmp_path, lmm6_file, capsys):
         code = exc.code
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    assert not paths["out"].exists()
 
 
 @pytest.mark.parametrize(
@@ -204,10 +213,10 @@ def test_simulate_refused_scheme_exit_code(model, tmp_path, capsys):
 def test_config_file_defaults_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("k=4\n")
-    out = tmp_path / "bdf.json"
-    assert run(["--config", str(cfg), "scheme", "bdf", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["k"] == 4
-    out2 = tmp_path / "bdf2.json"
-    assert run(["--config", str(cfg), "scheme", "bdf", "--k", "2",
-                "--out", str(out2)]) == 0
-    assert json.loads(out2.read_text())["k"] == 2
+    for config in (["--config", str(cfg)], [f"--config={cfg}"]):
+        out = tmp_path / "bdf.json"
+        assert run(config + ["scheme", "bdf", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["k"] == 4
+        out2 = tmp_path / "bdf2.json"
+        assert run(config + ["scheme", "bdf", "--k", "2", "--out", str(out2)]) == 0
+        assert json.loads(out2.read_text())["k"] == 2

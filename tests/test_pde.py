@@ -578,6 +578,12 @@ def test_pfc_experiment_zero_amplitude_is_steady():
     assert max(result.trace.max_abs) == pytest.approx(0.285, abs=1e-12)
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.01])
+def test_pfc_experiment_rejects_nonpositive_tau(tau):
+    with pytest.raises(ValueError, match="tau must be positive"):
+        pfc_experiment(Grid((16, 16), (16.0, 16.0)), tau=tau, T=1.0)
+
+
 def test_pfc_experiment_records_offset_and_mass():
     grid = Grid((32, 32), (32.0, 32.0))
     result = pfc_experiment(grid, tau=0.01, T=0.3, seed=1)
