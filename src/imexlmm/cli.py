@@ -312,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sl.set_defaults(func=cmd_stability_slice)
     p_an = pst.add_parser("angle", help="A(theta) sector angle")
     p_an.add_argument("--scheme", required=True)
-    p_an.add_argument("--radii", type=int, default=200)
+    p_an.add_argument("--radii", type=int, default=200,
+                      help="radii sampled per ray; the angle is an upper bound from them")
     p_an.set_defaults(func=cmd_stability_angle)
 
     p = sub.add_parser("simulate", help="run a phase-field simulation")

@@ -253,7 +253,8 @@ def stability_angle(s: SchemeCoefficients, n_radii: int = 200) -> float:
     Bisection on the angle; each ray is sampled at n_radii logarithmic radii
     in ANGLE_RADII plus the r -> infinity check on sigma.  Real coefficients
     make the region conjugate-symmetric, so only nonnegative angles are
-    scanned.
+    scanned.  The angle is an upper bound from the sampled radii: an unstable
+    band between two samples goes unseen (BDF6: 90 at n_radii = 5, 17.84 at 200).
     """
     if n_radii < 1:
         raise ValueError(f"n_radii must be >= 1, got {n_radii}")

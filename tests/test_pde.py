@@ -1,5 +1,7 @@
 """Grid primitives, Gauss starter, stepping, energies, experiments."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from imexlmm.pde import (
     InvariantViolationError,
     PatchSpec,
     SpectralFlow,
+    StarterFailureError,
     convergence_study,
     default_patches,
     discrete_source,
@@ -293,6 +296,86 @@ def test_starter_k1_returns_initial_state():
     states = gauss_rk6_start(allen_cahn(0.1), grid, u0, tau=0.1, k=1)
     assert len(states) == 1
     assert np.array_equal(states[0], u0)
+
+
+def _record_substeps(monkeypatch):
+    """The substep sizes the starter tries, in order, as it tries them."""
+    tried = []
+    solver = pde._stage_solver
+
+    def spy(mhat_lhat, h):
+        tried.append(h)
+        return solver(mhat_lhat, h)
+
+    monkeypatch.setattr(pde, "_stage_solver", spy)
+    return tried
+
+
+def _start_random_allen_cahn(amp, tau):
+    grid = small_grid(32)
+    u0 = amp * np.random.default_rng(0).uniform(-1, 1, grid.shape)
+    return gauss_rk6_start(allen_cahn(0.1), grid, u0, tau, k=3)
+
+
+@pytest.mark.parametrize(
+    "amp, tau, halvings", [(1.5, 1.0, 0), (3.0, 0.5, 1), (10.0, 1.0, 6)]
+)
+def test_starter_halves_the_substep_only_when_needed(monkeypatch, amp, tau, halvings):
+    # predicted starting stages must not make the starter halve where a
+    # start from (w, w, w) does not: a failed predicted start is retried flat
+    tried = _record_substeps(monkeypatch)
+    states = _start_random_allen_cahn(amp, tau)
+    assert len(states) == 3 and all(np.all(np.isfinite(u)) for u in states)
+    assert tried == [tau / 2 ** i for i in range(halvings + 1)]
+
+
+def test_starter_failure_names_the_smallest_substep(monkeypatch):
+    tried = _record_substeps(monkeypatch)
+    with pytest.raises(StarterFailureError, match="tau/64"):
+        _start_random_allen_cahn(50.0, 1.0)
+    assert tried == [1.0 / 2 ** i for i in range(7)]
+
+
+def test_stage_solver_matches_dense_solve():
+    s = np.concatenate([[0.0], -np.logspace(-6, 12, 200)])
+    rng = np.random.default_rng(11)
+    rhs = rng.standard_normal((3, s.size)) + 1j * rng.standard_normal((3, s.size))
+    got = pde._stage_solver(s, 1.0)(rhs.view(np.float64))
+    for p, sp in enumerate(s):
+        want = np.linalg.solve(np.eye(3) - sp * pde.GAUSS_A, rhs[:, p])
+        assert np.max(np.abs(got[:, p] - want)) <= 1e-13 * np.max(np.abs(want)), sp
+
+
+def test_starter_calls_no_dense_linear_algebra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called by the starter")
+
+    for name in ("inv", "solve", "eig"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    grid = small_grid(32)
+    u0 = np.random.default_rng(2).uniform(-1, 1, grid.shape)
+    states = gauss_rk6_start(allen_cahn(0.1), grid, u0, 0.05, k=4)
+    assert len(states) == 4
+
+
+def test_starter_sweeps_on_the_criterion_8_pfc_case():
+    # predicted stages: 32 fixed-point sweeps for the five substeps; 41 when
+    # every substep started from (w, w, w)
+    grid = Grid((128, 128), (2 * np.pi, 2 * np.pi))
+    model = pfc(0.01)
+    solution = trig_mode_solution(grid)
+    source = discrete_source(model, grid, solution)
+    sweeps = 0
+
+    def f(u):
+        nonlocal sweeps
+        sweeps += u.ndim == 3       # the three stages, stacked
+        return model.f(u)
+
+    counted = dataclasses.replace(model, f=f)
+    states = gauss_rk6_start(counted, grid, solution.u(0.0), 1.0 / 25, k=6, source=source)
+    assert len(states) == 6
+    assert sweeps <= 35
 
 
 # ------------------------------------------------------------------ energy
