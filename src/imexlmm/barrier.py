@@ -212,6 +212,10 @@ def search_feasible(
     """
     if k < 2:
         raise ValueError("search needs k >= 2")
+    if budget < 1:
+        raise ValueError(f"search budget must be at least 1, got {budget}")
+    if not kappa > 0.0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
     rng = random.Random(seed)
     evals = 0
 

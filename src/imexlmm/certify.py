@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebtrim
 
 from .chebpoly import ChebSeries, global_min
 from .schemes import SchemeCoefficients, reform
@@ -116,11 +117,10 @@ def spectral_factorize(s, gamma: float) -> np.ndarray:
         raise CertificateInfeasibleError(
             f"gamma={gamma!r} exceeds series minimum {gmax!r}"
         )
-    coeffs = list(series.s)
+    coeffs = np.array(series.s)
     coeffs[0] -= gamma
-    d = k - 1
-    while d > 0 and coeffs[d] == 0.0:
-        d -= 1
+    coeffs = chebtrim(coeffs, tol=0)
+    d = len(coeffs) - 1
     scale = max(abs(c) for c in series.s) or 1.0
     if d == 0:
         if abs(coeffs[0]) <= 1e-13 * scale:
@@ -299,38 +299,27 @@ def certify_scheme(
     chat1 = float(coeffs.chat[0]) if coeffs.chat else 0.0
 
     beta_ok = beta_max > 0.0 or (constants.eta == 1.0 and beta_max >= 0.0)
-    if alpha_max <= 0.0 or not beta_ok:
-        bad = []
-        if alpha_max <= 0.0:
-            bad.append(f"min T(x; a) = {alpha_max:.12g} <= 0")
-        if not beta_ok:
-            bad.append(f"min T(x; b) = {beta_max:.12g} <= 0")
-        return DissipationReport(
-            k=scheme.k,
-            alpha_max=alpha_max,
-            beta_max=beta_max,
-            cert_a=None,
-            cert_b=None,
-            tau_max=None,
-            constants=constants,
-            chat1=chat1,
-            refused=True,
-            refusal_reason="; ".join(bad),
-        )
-
-    alpha = gamma_fraction * alpha_max
-    beta = gamma_fraction * beta_max
-    cert_a = _certificate(coeffs.a, alpha)
-    cert_b = _certificate(coeffs.b, beta)
+    bad = []
+    if alpha_max <= 0.0:
+        bad.append(f"min T(x; a) = {alpha_max:.12g} <= 0")
+    if not beta_ok:
+        bad.append(f"min T(x; b) = {beta_max:.12g} <= 0")
+    cert_a = cert_b = tau_max = None
+    if not bad:
+        alpha = gamma_fraction * alpha_max
+        beta = gamma_fraction * beta_max
+        cert_a = _certificate(coeffs.a, alpha)
+        cert_b = _certificate(coeffs.b, beta)
+        tau_max = tau_max_bound(alpha, beta, chat1, constants)
     return DissipationReport(
         k=scheme.k,
         alpha_max=alpha_max,
         beta_max=beta_max,
         cert_a=cert_a,
         cert_b=cert_b,
-        tau_max=tau_max_bound(alpha, beta, chat1, constants),
+        tau_max=tau_max,
         constants=constants,
         chat1=chat1,
-        refused=False,
-        refusal_reason=None,
+        refused=bool(bad),
+        refusal_reason="; ".join(bad) or None,
     )

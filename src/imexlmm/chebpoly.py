@@ -1,9 +1,12 @@
 """First-kind Chebyshev series: evaluation, differentiation, global minimum.
 
 The energy machinery reduces to locating the minimum of a low-degree series
-on [-1, 1].  The minimum is found from the stationary points, which are the
-eigenvalues of the colleague matrix of the differentiated series, with the
-interval endpoints appended.
+on [-1, 1].  The kernel is ``numpy.polynomial.chebyshev``: ``chebval``
+evaluates, ``chebder`` differentiates, and ``chebroots`` returns the
+stationary points as the eigenvalues of the colleague matrix of the
+differentiated series, after dropping its exactly-zero trailing coefficients
+(the rule of ``chebtrim(..., tol=0)``).  The minimum is taken over the real
+in-interval stationary points and the interval endpoints.
 """
 
 from __future__ import annotations
@@ -11,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
 __all__ = [
     "ChebSeries",
     "MinResult",
     "evaluate",
     "derivative_coeffs",
-    "colleague_matrix",
     "global_min",
 ]
 
@@ -44,13 +47,6 @@ class ChebSeries:
     def k(self) -> int:
         return len(self.s)
 
-    def trimmed(self) -> "ChebSeries":
-        """Drop exactly-zero trailing coefficients (true degree)."""
-        d = len(self.s) - 1
-        while d > 0 and self.s[d] == 0.0:
-            d -= 1
-        return ChebSeries(self.s[: d + 1])
-
 
 @dataclass(frozen=True)
 class MinResult:
@@ -60,78 +56,31 @@ class MinResult:
 
 
 def evaluate(series: ChebSeries, x):
-    """Clenshaw evaluation of the series at x in [-1, 1] (scalar or array)."""
+    """Value of the series at x in [-1, 1] (scalar or array)."""
     xa = np.asarray(x, dtype=float)
     if np.any(np.abs(xa) > 1.0 + INTERVAL_TOL):
         raise ValueError("evaluation point outside [-1, 1]")
-    s = series.s
-    b1 = np.zeros_like(xa)
-    b2 = np.zeros_like(xa)
-    for c in s[:0:-1]:
-        b1, b2 = c + 2.0 * xa * b1 - b2, b1
-    out = s[0] + xa * b1 - b2
-    return float(out) if np.isscalar(x) or out.ndim == 0 else out
+    out = cheb.chebval(xa, series.s)
+    return float(out) if out.ndim == 0 else out
 
 
 def derivative_coeffs(series: ChebSeries) -> ChebSeries:
-    """Coefficients of d/dx in the same basis, by backward recurrence.
+    """Coefficients of d/dx in the same basis, with the series' length k.
 
-    Runs s_hat[m-1] = (2 m s[m] + s_hat[m+1]) / (1 + delta_{m,1}) downward
-    from m = k-1 with two zero sentinels, so the first-kind halving at m = 1
-    applies for every length, including k = 2.
+    The series is padded with one trailing zero before differentiating, so
+    the result keeps length k and ends in an exact zero.
     """
-    k = series.k
-    s = series.s
-    sh = [0.0] * (k + 1)
-    for m in range(k - 1, 0, -1):
-        sh[m - 1] = (2.0 * m * s[m] + sh[m + 1]) / (2.0 if m == 1 else 1.0)
-    return ChebSeries(tuple(sh[:k]))
+    return ChebSeries(tuple(cheb.chebder((*series.s, 0.0))))
 
 
-def colleague_matrix(series: ChebSeries) -> np.ndarray:
-    """Colleague matrix whose eigenvalues are the roots of the series.
-
-    Requires true degree >= 2 after trimming; degree-1 roots are solved
-    directly by callers.
-    """
-    q = series.trimmed().s
-    d = len(q) - 1
-    if d < 2:
-        raise ValueError("colleague matrix needs degree >= 2")
-    C = np.zeros((d, d))
-    C[0, 1] = 1.0
-    for i in range(1, d - 1):
-        C[i, i - 1] = 0.5
-        C[i, i + 1] = 0.5
-    C[d - 1, d - 2] += 0.5
-    C[d - 1, :] -= np.asarray(q[:d]) / (2.0 * q[d])
-    return C
-
-
-def _stationary_points(series: ChebSeries):
-    deriv = derivative_coeffs(series).trimmed()
-    d = len(deriv.s) - 1
-    if d == 0:
-        # derivative is constant: nonzero -> no stationary points,
-        # zero -> the series itself was constant (handled by caller)
-        return []
-    if d == 1:
-        roots = np.array([-deriv.s[0] / deriv.s[1]])
-    else:
-        roots = np.linalg.eigvals(colleague_matrix(deriv))
-    pts = []
-    for r in roots:
-        if abs(r.imag) > REAL_TOL * max(1.0, abs(r.real)):
-            continue
-        xr = r.real
-        if abs(xr) > 1.0 + INTERVAL_TOL:
-            continue
-        pts.append(min(1.0, max(-1.0, xr)))
-    pts.sort()
+def _stationary_points(s: tuple) -> list:
+    roots = cheb.chebroots(cheb.chebder(s))
+    real = roots.real[np.abs(roots.imag) <= REAL_TOL * np.maximum(1.0, np.abs(roots.real))]
+    inside = np.clip(real[np.abs(real) <= 1.0 + INTERVAL_TOL], -1.0, 1.0)
     merged = []
-    for p in pts:
+    for p in np.sort(inside):
         if not merged or p - merged[-1] > CLUSTER_TOL:
-            merged.append(p)
+            merged.append(float(p))
     return merged
 
 
@@ -139,19 +88,16 @@ def global_min(series: ChebSeries) -> MinResult:
     """Global minimum of the series on [-1, 1].
 
     Candidates are the real in-interval colleague eigenvalues of the
-    derivative plus the endpoints.  A constant series reports its value at
-    argmin -1 by convention.
+    derivative plus the endpoints.  ``chebroots`` drops exactly-zero trailing
+    coefficients of the derivative, so a constant series has the endpoints
+    as its only candidates and reports its value at argmin -1, the first
+    of two equal values.
     """
-    trimmed = series.trimmed()
-    if trimmed.k == 1:
-        return MinResult(
-            min_value=trimmed.s[0], argmin=-1.0, critical_points=(-1.0, 1.0)
-        )
-    candidates = [-1.0] + _stationary_points(trimmed) + [1.0]
-    values = [evaluate(trimmed, x) for x in candidates]
+    candidates = [-1.0, *_stationary_points(series.s), 1.0]
+    values = cheb.chebval(candidates, series.s)
     best = int(np.argmin(values))
     return MinResult(
-        min_value=values[best],
+        min_value=float(values[best]),
         argmin=candidates[best],
         critical_points=tuple(candidates),
     )

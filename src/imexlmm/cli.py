@@ -221,7 +221,7 @@ def cmd_simulate(args) -> int:
     else:
         rng = np.random.default_rng(args.seed)
         u0 = 0.05 * rng.standard_normal(grid.shape)
-        n_steps = max(0, int(round(args.T / args.tau)) - (scheme.k - 1))
+        n_steps = int(round(args.T / args.tau)) - (scheme.k - 1)
         trace, _ = pde.simulate(
             model, grid, scheme, report, u0, args.tau, n_steps, on_state=on_state
         )

@@ -453,8 +453,12 @@ def simulate(
     when given, returns the half-spectrum transform of g(t).  Returns
     (trace, history); raises InvariantViolationError at the first state
     whose energy is not finite or whose max|u| reaches the model's
-    truncation radius, where the certificate no longer holds.
+    truncation radius, where the certificate no longer holds.  A negative
+    ``n_steps`` (an end time inside the k-step starting window) raises
+    ValueError.
     """
+    if n_steps < 0:
+        raise ValueError(f"n_steps = {n_steps}: T too short for the starting window")
     flow = SpectralFlow(model, grid, scheme, tau)
     k = scheme.k
     states = gauss_rk6_start(model, grid, u0, tau, k, source=source)
@@ -654,8 +658,6 @@ def pfc_experiment(
     u0 = PFC_MEAN_LEVEL + amp * rng.uniform(-1.0, 1.0, grid.shape)
 
     n_steps = int(round(T / tau)) - (scheme.k - 1)
-    if n_steps < 0:
-        raise ValueError("T too short for the starting window")
     trace, _ = simulate(
         model, grid, scheme, report, u0, tau, n_steps, on_state=on_state
     )

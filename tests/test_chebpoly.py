@@ -126,3 +126,21 @@ def test_min_endpoints_included():
     s = ChebSeries((0.0, 3.0, 0.0, 0.1))
     res = global_min(s)
     assert -1.0 in res.critical_points and 1.0 in res.critical_points
+
+
+@pytest.mark.parametrize(
+    "coeffs, min_value, argmin",
+    [
+        ((0.0, 0.0, 1.0, 0.0, 0.0), -1.0, 0.0),
+        ((0.0, 1.0, 0.0, 0.0), -1.0, -1.0),
+        ((0.0, 0.0, 0.0), 0.0, -1.0),
+        ((1.0, -0.5, 0.0), 0.5, 1.0),
+    ],
+    ids=["T2-padded", "T1-padded", "zero", "linear-padded"],
+)
+def test_global_min_with_exact_trailing_zeros(coeffs, min_value, argmin):
+    # the true degree comes from trimming the exact zeros, not from the length
+    res = global_min(ChebSeries(coeffs))
+    assert res.min_value == pytest.approx(min_value, abs=1e-15)
+    assert res.argmin == pytest.approx(argmin, abs=1e-15)
+    assert -1.0 in res.critical_points and 1.0 in res.critical_points

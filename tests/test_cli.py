@@ -160,9 +160,16 @@ def test_determinism_byte_identical(tmp_path, lmm6_file):
         ["simulate", "--model", "ac", "--scheme", "{lmm6}", "--grid", "16",
          "--tau", "0.01", "--T", "0.1", "--snapshots", "every:0", "--trace", "{out}"],
         ["stability", "angle", "--scheme", "{lmm6}", "--radii", "0"],
+        ["barrier", "search", "--k", "3", "--budget", "0", "--out", "{out}"],
+        ["barrier", "search", "--k", "3", "--kappa", "0", "--out", "{out}"],
+        ["simulate", "--model", "ac", "--scheme", "{lmm6}", "--grid", "16",
+         "--tau", "0.01", "--T", "0.02", "--trace", "{out}"],
+        ["simulate", "--model", "pfc", "--scheme", "{lmm6}", "--grid", "16",
+         "--tau", "0.01", "--T", "0.02", "--trace", "{out}"],
     ],
     ids=["unknown-flag", "bdf-k9", "negative-ell-f", "missing-scheme",
-         "ac-tau-0", "pfc-tau-0", "snapshots-every-0", "angle-radii-0"],
+         "ac-tau-0", "pfc-tau-0", "snapshots-every-0", "angle-radii-0",
+         "search-budget-0", "search-kappa-0", "ac-T-short", "pfc-T-short"],
 )
 def test_usage_error_exit_code(argv, tmp_path, lmm6_file, capsys):
     paths = {"lmm6": lmm6_file, "missing": tmp_path / "missing.json", "out": tmp_path / "out.csv"}

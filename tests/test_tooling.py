@@ -31,3 +31,10 @@ def test_bench_tracer_installs_and_restores(monkeypatch):
         schemes.reform(schemes.lmm6_scheme())
     assert [dict(vars(owner)) for owner in owners] == before
     assert {"schemes.lmm_from_parameters", "schemes.reform"} <= {s.name for s in tracer.spans}
+
+
+def test_module_exports_resolve():
+    # a name left in __all__ after its definition is deleted fails here
+    for module in (barrier, certify, chebpoly, models, pde, schemes, stability):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names {missing}"
