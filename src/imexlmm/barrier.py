@@ -1,29 +1,34 @@
 """Feasibility of energy-dissipative schemes and the order-7 obstruction.
 
 ``evaluate_feasibility`` scores a parameter vector by the minima of its two
-generating polynomials and ``search_feasible`` hunts for positive pairs by
-derivative-free pattern search.  For seven steps no feasible vector exists:
-the positivity constraints at the Chebyshev nodes of [-1, 1] form a linear
-system ``Q w <= q`` over the field of rationals extended by sqrt(3), and an
-explicit nonnegative combination of its rows is contradictory.  The whole
-order-7 pipeline runs in exact arithmetic, since a floating-point check of a
+generating polynomials in exact tables; ``search_feasible`` hunts for positive
+pairs by pattern search on float scores in batches and reports the exact score
+of its answer.  For seven steps no feasible vector exists: the positivity
+constraints at the Chebyshev nodes of [-1, 1] form a linear system
+``Q w <= q`` over the field of rationals extended by sqrt(3), and an explicit
+nonnegative combination of its rows is contradictory.  The whole order-7
+pipeline runs in exact arithmetic, since a floating-point check of a
 nonexistence statement would be inconclusive.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import exactalg
-from .chebpoly import ChebSeries, global_min
+from .chebpoly import ChebSeries, global_min, global_minima
 from .schemes import (
     ParameterVector,
     lmm6_parameters,
     lmm_from_parameters,
-    parameter_map,
     reform,
+    series_map,
 )
 
 __all__ = [
@@ -207,7 +212,11 @@ def search_feasible(
 
     Maximizes min(min_a, min_b/kappa) by coordinate pattern search with
     step halving from SEARCH_STARTS starts: the known six-step point (when
-    k = 6), the BDF point w = 0, and seeded random vectors.  Deterministic
+    k = 6), the BDF point w = 0, and seeded random vectors.  A sweep takes
+    each of the moves (0, +), (0, -), (1, +), ... that improves the score;
+    its untried moves are scored in float in one batch, re-batched after each
+    taken move, and count as evaluations only up to that move.  The returned
+    vector is re-scored exactly by ``evaluate_feasibility``.  Deterministic
     for a fixed seed; returns the best candidate found even when infeasible.
     """
     if k < 2:
@@ -218,12 +227,11 @@ def search_feasible(
         raise ValueError(f"kappa must be positive, got {kappa}")
     rng = random.Random(seed)
     evals = 0
+    M, c = (np.array(x, dtype=float) for x in series_map(k))  # float once per search
 
-    def objective(wf):
-        nonlocal evals
-        evals += 1
-        res = evaluate_feasibility([Fraction(x) for x in wf])
-        return min(res.min_a, res.min_b / kappa), res
+    def scores(trials):  # float min(min_a, min_b / kappa), the same for a row in any batch
+        minima = global_minima(((np.array(trials)[:, None, :] * M).sum(axis=2) + c).reshape(-1, k))
+        return np.minimum(minima[0::2], minima[1::2] / kappa)
 
     starts = []
     if k == 6:
@@ -232,41 +240,38 @@ def search_feasible(
     while len(starts) < SEARCH_STARTS:
         starts.append([rng.uniform(-50.0, 50.0) for _ in range(k)])
     share = max(2 * k + 1, budget // len(starts))
+    moves = [(i, sign) for i in range(k) for sign in (1.0, -1.0)]  # one sweep
 
-    best_w, best_score, best_res = None, -float("inf"), None
+    best_w, best_score = None, -float("inf")
     for start in starts:
         if evals >= budget:
             break
         stop = min(budget, evals + share)
         current = list(start)
-        score, res = objective(current)
+        (score,) = scores([current])
+        evals += 1
         if score > best_score:
-            best_w, best_score, best_res = list(current), score, res
-        scales = [max(1.0, abs(c)) for c in current]
+            best_w, best_score = list(current), score
+        scales = [max(1.0, abs(x)) for x in current]
         step = 0.5
         while step > 1e-6 and evals < stop:
-            improved = False
-            for i in range(k):
-                for sign in (1.0, -1.0):
-                    if evals >= stop:
-                        break
-                    trial = list(current)
+            improved, tried = False, 0
+            while tried < len(moves) and evals < stop:
+                trials = [list(current) for _ in moves[tried : tried + stop - evals]]
+                for trial, (i, sign) in zip(trials, moves[tried:]):
                     trial[i] += sign * step * scales[i]
-                    s, r = objective(trial)
-                    if s > score:
-                        current, score, res = trial, s, r
-                        improved = True
+                found = scores(trials)
+                taken = next((j + 1 for j, s in enumerate(found) if s > score), len(trials))
+                evals, tried = evals + taken, tried + taken
+                if found[taken - 1] > score:
+                    current, score, improved = trials[taken - 1], found[taken - 1], True
             if score > best_score:
-                best_w, best_score, best_res = list(current), score, res
+                best_w, best_score = list(current), score
             if not improved:
                 step /= 2.0
-    return SearchResult(
-        w=ParameterVector(tuple(Fraction(x) for x in best_w)),
-        min_a=best_res.min_a,
-        min_b=best_res.min_b,
-        feasible=best_res.feasible,
-        evaluations=evals,
-    )
+    w = ParameterVector(tuple(Fraction(x) for x in best_w))
+    res = evaluate_feasibility(w)
+    return SearchResult(w, res.min_a, res.min_b, res.feasible, evaluations=evals)
 
 
 @dataclass(frozen=True)
@@ -277,10 +282,21 @@ class FarkasSystem:
     Q: tuple  # 2k rows x k columns of QuadExt
     q: tuple  # length 2k
 
+    @functools.cached_property
+    def _integer_rows(self) -> tuple:
+        # rows (-Q_i, q_i) = (P_i + sqrt(3) R_i) / den: P = [-Qp | qp], R = [-Qq | qq]
+        rows = [(*(-x for x in row), qi) for row, qi in zip(self.Q, self.q)]
+        den = math.lcm(*(c.denominator for row in rows for x in row for c in (x.p, x.q)))
+        return den, *([[int(getattr(x, part) * den) for x in row] for row in rows] for part in "pq")
+
     def residuals(self, w) -> list:
-        """q - Q w; feasibility of w means all entries nonnegative."""
-        w = [x if isinstance(x, QuadExt) else QuadExt(Fraction(x)) for x in w]
-        return [qi - x for qi, x in zip(self.q, exactalg.matvec(self.Q, w))]
+        """q - Q w for rational w; feasibility of w means all entries nonnegative."""
+        den, P, R = self._integer_rows
+        w = [Fraction(x) for x in w]
+        scale = math.lcm(*(x.denominator for x in w))
+        v = [x.numerator * (scale // x.denominator) for x in w] + [scale]
+        return [QuadExt(Fraction(p, den * scale), Fraction(r, den * scale))
+                for p, r in zip(exactalg.matvec(P, v), exactalg.matvec(R, v))]
 
 
 def build_farkas_system(k: int = 7) -> FarkasSystem:
@@ -288,26 +304,16 @@ def build_farkas_system(k: int = 7) -> FarkasSystem:
 
     Stacks the node-positivity constraints of both generating polynomials at
     the k Chebyshev points x_j = cos(j*pi/(k-1)): with ``Z[j][m] = T_m(x_j)``
-    the residuals ``q - Q w`` are ``Z a(w)`` followed by ``Z b(w)``.  Since
-    a and b are affine in w, Q is read off the scheme family's parameter map
-    and q from its tables at w = 0.  Exact assembly requires the cosines to
-    lie in Q(sqrt(3)), i.e. (k-1) | 6.
+    the residuals ``q - Q w`` are ``Z a(w)`` followed by ``Z b(w)``, so Q
+    and q are read off the exact affine map ``series_map(k)``.  Exact
+    assembly requires the cosines to lie in Q(sqrt(3)), i.e. (k-1) | 6.
     """
     if k < 2:
         raise ValueError("need k >= 2")
     Z = [[_exact_cos_node(m * j, k - 1) for m in range(k)] for j in range(k)]
-    C, _ = parameter_map(k)
-    # S: a_i and b_i are the partial sums of A and B through index i; the
-    # constant offsets of b enter only through reform, which supplies q
-    S = [
-        [Fraction(start <= c <= start + i) for c in range(len(C))]
-        for start in (0, k + 1)
-        for i in range(k)
-    ]
-    SC = exactalg.matmul(S, C)
-    Q = [[-x for x in row] for part in (SC[:k], SC[k:]) for row in exactalg.matmul(Z, part)]
-    base = reform(lmm_from_parameters([0] * k))
-    q = exactalg.matvec(Z, base.a) + exactalg.matvec(Z, base.b)
+    M, c = series_map(k)
+    Q = [[-x for x in row] for part in (M[:k], M[k:]) for row in exactalg.matmul(Z, part)]
+    q = exactalg.matvec(Z, c[:k]) + exactalg.matvec(Z, c[k:])
     return FarkasSystem(k=k, Q=tuple(tuple(row) for row in Q), q=tuple(q))
 
 

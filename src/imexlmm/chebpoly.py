@@ -22,6 +22,7 @@ __all__ = [
     "evaluate",
     "derivative_coeffs",
     "global_min",
+    "global_minima",
 ]
 
 # Acceptance tolerances for eigenvalue-based roots: a candidate is real when
@@ -73,10 +74,15 @@ def derivative_coeffs(series: ChebSeries) -> ChebSeries:
     return ChebSeries(tuple(cheb.chebder((*series.s, 0.0))))
 
 
+def _accepted(roots):
+    """Mask of the eigenvalues taken as real stationary points in [-1, 1]."""
+    re = np.abs(roots.real)
+    return (np.abs(roots.imag) <= REAL_TOL * np.maximum(1.0, re)) & (re <= 1.0 + INTERVAL_TOL)
+
+
 def _stationary_points(s: tuple) -> list:
     roots = cheb.chebroots(cheb.chebder(s))
-    real = roots.real[np.abs(roots.imag) <= REAL_TOL * np.maximum(1.0, np.abs(roots.real))]
-    inside = np.clip(real[np.abs(real) <= 1.0 + INTERVAL_TOL], -1.0, 1.0)
+    inside = np.clip(roots.real[_accepted(roots)], -1.0, 1.0)
     merged = []
     for p in np.sort(inside):
         if not merged or p - merged[-1] > CLUSTER_TOL:
@@ -101,3 +107,26 @@ def global_min(series: ChebSeries) -> MinResult:
         argmin=candidates[best],
         critical_points=tuple(candidates),
     )
+
+
+def global_minima(series) -> np.ndarray:
+    """``global_min`` values of the rows of an (n, k) stack, from one stacked
+    ``eigvals`` of colleague matrices built as ``chebroots`` builds them (close
+    points are not merged).  Rows whose derivative ends in an exact zero or has
+    degree < 2 go through ``global_min``."""
+    s = np.asarray(series, dtype=float)
+    n, k = s.shape
+    d = cheb.chebder(s, axis=1)
+    full = d[:, -1] != 0 if k > 3 else np.zeros(n, dtype=bool)
+    mins = np.array([np.nan if f else global_min(ChebSeries(r)).min_value for r, f in zip(s, full)])
+    if full.any():
+        d, deg = d[full], k - 2
+        # the colleague matrix of T_deg, then chebcompanion's last column
+        mats = np.repeat(cheb.chebcompanion(np.eye(deg + 1)[deg])[None], len(d), axis=0)
+        scl = np.array([1.0] + [np.sqrt(0.5)] * (deg - 1))
+        mats[:, :, -1] -= (d[:, :-1] / d[:, -1:]) * (scl / scl[-1]) * 0.5
+        roots = np.linalg.eigvals(mats[:, ::-1, ::-1])
+        x = np.where(_accepted(roots), np.clip(roots.real, -1.0, 1.0), -1.0)
+        x = np.concatenate([x, np.broadcast_to([-1.0, 1.0], (len(d), 2))], axis=1)
+        mins[full] = cheb.chebval(x.T, s[full].T, tensor=False).min(axis=0)
+    return mins

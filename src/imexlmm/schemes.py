@@ -10,6 +10,7 @@ enters until a caller asks for it.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import operator
@@ -27,6 +28,7 @@ __all__ = [
     "bdf_coefficients",
     "lmm_from_parameters",
     "parameter_map",
+    "series_map",
     "lmm6_parameters",
     "lmm6_scheme",
     "parameters_from_scheme",
@@ -177,6 +179,28 @@ def parameter_map(k: int) -> tuple:
     rows = A + B_head + [B_k] + Bhat
     return tuple(tuple(row[1:]) for row in rows), tuple(row[0] for row in rows)
 
+
+@functools.lru_cache(maxsize=None)
+def series_map(k: int) -> tuple:
+    """Exact affine map ``(M, c)`` from the free parameters to the series.
+
+    For every w of length k, ``M w + c`` is ``a`` followed by ``b`` of
+    ``reform(lmm_from_parameters(w))``.  Built once per k and cached.
+    """
+
+    def series(w):
+        r = reform(lmm_from_parameters(w))
+        return r.a + r.b
+
+    def column(j):
+        # A_0 and B_0 are affine in t and nonzero at t = 0 (BDF): each
+        # vanishes at one t at most, so one of three points is a valid table
+        for t in (1, 2, 3):
+            with contextlib.suppress(SchemeError):
+                return [(x - y) / t for x, y in zip(series([t * (i == j) for i in range(k)]), base)]
+
+    base = series([0] * k)
+    return tuple(zip(*map(column, range(k)))), base
 
 def lmm_from_parameters(w) -> SchemeCoefficients:
     """Scheme from free parameters: one exact evaluation of ``parameter_map``."""

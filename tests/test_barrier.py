@@ -4,6 +4,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from imexlmm import barrier
@@ -18,8 +19,8 @@ from imexlmm.barrier import (
     search_feasible,
     verify_farkas_certificate,
 )
-from imexlmm.chebpoly import ChebSeries, evaluate
-from imexlmm.schemes import lmm6_parameters, lmm_from_parameters, reform
+from imexlmm.chebpoly import ChebSeries, evaluate, global_min
+from imexlmm.schemes import lmm6_parameters, lmm_from_parameters, reform, series_map
 
 F = Fraction
 
@@ -303,3 +304,70 @@ def test_search_is_deterministic():
     a = search_feasible(3, budget=120, seed=7)
     b = search_feasible(3, budget=120, seed=7)
     assert a.w == b.w and a.min_a == b.min_a and a.min_b == b.min_b
+
+
+def _sequential_search(k, budget, seed, kappa=1.0):
+    """First-improvement pattern search scoring one float trial at a time.
+
+    The reference for the visiting order, the accepted moves and the budget
+    accounting that ``search_feasible`` keeps while it scores in batches.
+    Returns the best vector and the number of evaluations.
+    """
+    M, c = (np.array(x, dtype=float) for x in series_map(k))
+
+    def score(w):
+        a, b = np.split((M * np.array(w)).sum(axis=1) + c, 2)
+        return min(global_min(ChebSeries(a)).min_value,
+                   global_min(ChebSeries(b)).min_value / kappa)
+
+    rng = random.Random(seed)
+    starts = [[float(x) for x in lmm6_parameters().w]] if k == 6 else []
+    starts.append([0.0] * k)
+    while len(starts) < barrier.SEARCH_STARTS:
+        starts.append([rng.uniform(-50.0, 50.0) for _ in range(k)])
+    share = max(2 * k + 1, budget // len(starts))
+    evals, best_w, best = 0, None, -float("inf")
+    for start in starts:
+        if evals >= budget:
+            break
+        stop = min(budget, evals + share)
+        current, s = list(start), score(start)
+        evals += 1
+        if s > best:
+            best_w, best = list(current), s
+        scales = [max(1.0, abs(x)) for x in current]
+        step = 0.5
+        while step > 1e-6 and evals < stop:
+            improved = False
+            for i in range(k):
+                for sign in (1.0, -1.0):
+                    if evals >= stop:
+                        break
+                    trial = list(current)
+                    trial[i] += sign * step * scales[i]
+                    t = score(trial)
+                    evals += 1
+                    if t > s:
+                        current, s, improved = trial, t, True
+            if s > best:
+                best_w, best = list(current), s
+            if not improved:
+                step /= 2.0
+    return [F(x) for x in best_w], evals
+
+
+# (7, 83, 0) stops after 7 of the 14 moves of a sweep
+@pytest.mark.parametrize("k, budget, seed", [(2, 60, 3), (4, 100, 1), (5, 300, 2), (6, 200, 0), (7, 83, 0)])
+def test_batched_search_keeps_sequential_order(k, budget, seed):
+    result = search_feasible(k, budget=budget, seed=seed)
+    w, evaluations = _sequential_search(k, budget, seed)
+    assert list(result.w.w) == w
+    assert result.evaluations == evaluations
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_search_reports_exact_reevaluation(k):
+    result = search_feasible(k, budget=100, seed=1)
+    exact = evaluate_feasibility(result.w)
+    assert (result.min_a, result.min_b, result.feasible) == (
+        exact.min_a, exact.min_b, exact.feasible)

@@ -8,8 +8,9 @@ from imexlmm.chebpoly import (
     derivative_coeffs,
     evaluate,
     global_min,
+    global_minima,
 )
-from imexlmm.schemes import bdf_coefficients, reform
+from imexlmm.schemes import bdf_coefficients, lmm6_scheme, reform
 
 BDF6_A = ChebSeries(tuple(float(x) for x in reform(bdf_coefficients(6)).a))
 BDF3_A = ChebSeries(tuple(float(x) for x in reform(bdf_coefficients(3)).a))
@@ -144,3 +145,32 @@ def test_global_min_with_exact_trailing_zeros(coeffs, min_value, argmin):
     assert res.min_value == pytest.approx(min_value, abs=1e-15)
     assert res.argmin == pytest.approx(argmin, abs=1e-15)
     assert -1.0 in res.critical_points and 1.0 in res.critical_points
+
+
+def _minima_stacks():
+    rng = np.random.default_rng(77)
+    for k in range(2, 8):
+        stack = rng.uniform(-3.0, 3.0, (40, k))
+        stack[::5, -1] = 0.0  # derivative ends in an exact zero: scalar path
+        yield f"random-k{k}", stack
+    lmm6 = reform(lmm6_scheme())
+    rows = [lmm6.a, lmm6.b, BDF6_A.s, (0.75, 0.0, 0.0, 0.0, 0.0, 0.0)]
+    yield "lmm6-bdf6-constant", np.array([[float(x) for x in r] for r in rows])
+
+
+@pytest.mark.parametrize("stack", [s for _, s in _minima_stacks()],
+                         ids=[name for name, _ in _minima_stacks()])
+def test_global_minima_match_global_min(stack):
+    got = global_minima(stack)
+    want = np.array([global_min(ChebSeries(tuple(row))).min_value for row in stack])
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
+def test_global_minima_known_values():
+    lmm6 = reform(lmm6_scheme())
+    rows = [[float(x) for x in r] for r in (lmm6.a, lmm6.b, BDF6_A.s)]
+    min_a, min_b, min_bdf6 = global_minima(np.array(rows))
+    assert min_a == pytest.approx(1.0, abs=1e-9)
+    assert min_b == pytest.approx(0.363757, abs=1e-5)
+    # the minimum of BDF6's a lies below its exact witness T(0; a) = -7/15
+    assert min_bdf6 <= -7.0 / 15.0 + 1e-15

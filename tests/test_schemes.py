@@ -17,6 +17,7 @@ from imexlmm.schemes import (
     reform,
     scheme_from_json,
     scheme_to_json,
+    series_map,
     verify_order_conditions,
 )
 
@@ -184,3 +185,15 @@ def test_constructor_rejects_ill_posed_tables():
 def test_lmm6_parameters_literal():
     w = lmm6_parameters()
     assert list(w.w) == [F(64, 5), F(-141, 5), F(111), F(-1034), F(9886), F(-23, 100)]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_series_map_reproduces_reformed_series(k):
+    # for odd k the table at the unit vector e_k has B_0 = 0, so that column
+    # comes from a scaled point
+    M, c = series_map(k)
+    rng = random.Random(300 + k)
+    for _ in range(10):
+        w = [F(rng.randint(-400, 400), rng.randint(1, 30)) for _ in range(k)]
+        r = reform(lmm_from_parameters(w))
+        assert [ci + sum(m * x for m, x in zip(row, w)) for row, ci in zip(M, c)] == list(r.a + r.b)
