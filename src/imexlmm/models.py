@@ -125,7 +125,8 @@ class Grid:
         # (-1)^x / n, so the worst residue over x adds their magnitudes
         imag = np.abs(planes.imag)
         imag_max = float(np.max(imag[..., 0] + imag[..., 1])) / n
-        scale = max(1.0, float(np.max(np.abs(v))))
+        # the tolerance scales by max(1, max|v|), which matters only above the bare one
+        scale = 1.0 if imag_max <= IMAG_RESIDUE_TOL else max(1.0, float(np.max(np.abs(v))))
         if imag_max > IMAG_RESIDUE_TOL * scale:
             raise HermitianViolationError(
                 f"imaginary residue {imag_max:.3e} exceeds tolerance"

@@ -88,7 +88,7 @@ def _background(model: ModelSpec, u0: np.ndarray) -> float:
     return float(np.mean(u0)) if model.mass_conserving else 0.0
 
 
-_W, _F, _DELTA, _G = range(4)   # the transform rows of a History slot
+_W, _F, _G = range(3)   # the transform rows of a History slot
 
 
 class History:
@@ -96,11 +96,12 @@ class History:
 
     Slot (head - back) % k holds u^{n-back}: the transforms of its deviation
     w from a fixed background mean (zero for models that do not conserve
-    mass), of f(u), of the difference w - w_prev (unused in the oldest slot,
-    whose predecessor has left the window) and, when a source is given, of
-    g(t) as the source returns it.  Getters return views into the ring,
-    which ``push`` overwrites k states later; ``state(back)`` inverts on
-    demand and returns the full field.
+    mass), of f(u) and, when a source is given, of g(t) as the source returns
+    it; the same slot of a (k, *half) array beside the ring holds w - w_prev
+    (unused in the oldest slot, whose predecessor has left the window).
+    ``flat`` and ``delta_flat`` view both as float rows by slot.  Getters
+    return views, which ``push`` overwrites k states later; ``state(back)``
+    inverts on demand and returns the full field.
     """
 
     def __init__(self, model, grid, scheme, tau, states, t0=0.0, source=None):
@@ -115,8 +116,9 @@ class History:
         self.t0 = float(t0)
         rows = _G + (source is not None)
         self._ring = np.zeros((k, rows) + grid.k2.shape, dtype=complex)
-        # the difference rows by slot, each complex mode as its (re, im) pair
-        self.delta_flat = self._ring[:, _DELTA].view(np.float64).reshape(k, -1)
+        self._delta = np.zeros((k,) + grid.k2.shape, dtype=complex)
+        self.flat = self._ring.view(np.float64).reshape(k * rows, -1)
+        self.delta_flat = self._delta.view(np.float64).reshape(k, -1)
         self.n = -1             # index of the newest state
         for u in states:
             w = u - self.background
@@ -139,18 +141,23 @@ class History:
     def delta_hats(self) -> np.ndarray:
         """Transforms of delta u^{n+1-i} = u^{n+1-i} - u^{n-i}, i = 1..k-1,
         stacked in that order."""
-        return self._ring[(self.head - np.arange(self.k - 1)) % self.k, _DELTA]
+        return self._delta[(self.head - np.arange(self.k - 1)) % self.k]
 
     def push(self, w_hat, f_hat):
         """Store the next state in the oldest state's slot."""
         self.n += 1
         self.head = self.n % self.k     # slot of the newest state
         slot = self._ring[self.head]
-        np.subtract(w_hat, self.slot(1)[_W], out=slot[_DELTA])
+        np.subtract(w_hat, self.slot(1)[_W], out=self._delta[self.head])
         slot[_W] = w_hat
         slot[_F] = f_hat
         if self.source is not None:
             slot[_G] = self.source(self.time())
+
+
+def _flat_symbols(symbols) -> np.ndarray:
+    """Stacked half-spectrum symbols over each mode's (re, im) float pair."""
+    return np.repeat(np.asarray(symbols), 2, axis=-1).reshape(len(symbols), -1)
 
 
 class SpectralFlow:
@@ -159,7 +166,11 @@ class SpectralFlow:
 
     Per mode the update is pivot * w^{n+1} = sum_i c_i w^{n+1-i}
     + d_i f^{n+1-i} + tau Bhat_i g^{n+1-i}, with pivot = A_0 - tau m B_0 l
-    and the real per-lag symbols c_i = tau m B_i l - A_i, d_i = tau m Bhat_i.
+    and the real per-lag symbols c_i = tau m l B_i - A_i, d_i = tau m Bhat_i,
+    so pivot * w^{n+1} = tau m l sum B_i w_i - sum A_i w_i + tau m sum Bhat_i f_i
+    (+ tau sum Bhat_i g_i).  Those 3 (4) slot sums are one real matmul of the
+    ring's float view by the current head's coefficient matrix; the per-mode
+    symbols (tau m l, -1, tau m, tau) / pivot then weight them into w^{n+1}.
     """
 
     def __init__(self, model: ModelSpec, grid: Grid, scheme: SchemeCoefficients, tau: float):
@@ -169,10 +180,9 @@ class SpectralFlow:
         self.grid = grid
         self.scheme = scheme
         self.tau = float(tau)
-        self.k = scheme.k
+        self.k = k = scheme.k
         A = [float(x) for x in scheme.A]
         B = [float(x) for x in scheme.B]
-        Bhat = [float(x) for x in scheme.Bhat]   # Bhat_1 .. Bhat_k
         self.mhat = model.m_symbol(grid.k2)
         self.lhat = model.l_symbol(grid.k2)
         tml = self.tau * self.mhat * self.lhat
@@ -180,10 +190,18 @@ class SpectralFlow:
         floor = 1e-14 * (abs(A[0]) + np.abs(B[0] * tml))
         if np.any(np.abs(pivot) <= floor):
             raise IllPosedStepError("zero pivot in the diagonal implicit solve")
-        self.inv_pivot = 1.0 / pivot
-        self.c = [b * tml - a for a, b in zip(A[1:], B[1:])]
-        self.d = [self.tau * b * self.mhat for b in Bhat]
-        self.g_coef = [self.tau * b for b in Bhat]
+        inv_pivot = 1.0 / pivot
+        self.symbols = _flat_symbols(
+            [tml * inv_pivot, -inv_pivot, self.tau * self.mhat * inv_pivot, self.tau * inv_pivot]
+        )
+        # scalar weights by (sum, lag, ring row); a slot's lag is (head - slot) % k
+        lag = np.zeros((4, k, 3))
+        lag[0, :, _W] = B[1:]
+        lag[1, :, _W] = A[1:]
+        lag[2, :, _F] = lag[3, :, _G] = [float(x) for x in scheme.Bhat]
+        by_head = [lag[:, (head - np.arange(k)) % k] for head in range(k)]
+        # [whether the history carries a source row][head]
+        self._slot_coef = [[c[:r + 1, :, :r].reshape(r + 1, -1) for c in by_head] for r in (2, 3)]
 
     def history(self, states, t0=0.0, source=None) -> History:
         return History(self.model, self.grid, self.scheme, self.tau, states, t0, source)
@@ -194,15 +212,11 @@ class SpectralFlow:
         The new transform is the solved right-hand side itself, so a step
         costs one inverse transform (for f(u)) and one forward one (of f(u)).
         """
-        rhs = np.zeros_like(history.deviation_hat(0))
-        for i in range(self.k):
-            slot = history.slot(i)
-            rhs += self.c[i] * slot[_W]
-            rhs += self.d[i] * slot[_F]
-            if history.source is not None:
-                rhs += self.g_coef[i] * slot[_G]
-        rhs *= self.inv_pivot
-        u = self.grid.ifft(rhs) + history.background
+        coef = self._slot_coef[history.source is not None][history.head]
+        rhs = np.einsum("rm,rm->m", self.symbols[: len(coef)], coef @ history.flat)
+        rhs = rhs.view(complex).reshape(self.grid.k2.shape)
+        u = self.grid.ifft(rhs)
+        u += history.background
         history.push(rhs, self.grid.fft(self.model.f(u)))
         return u
 
@@ -211,15 +225,18 @@ def _stage_solver(mhat_lhat, h):
     """Per-mode solve of (I - sA) Y = X, s = h*m*l: X is the real view (3, 2 * modes)
     of three stacked half spectra, Y complex.  By Cayley-Hamilton (I - sA)^{-1} =
     (q_0 I + q_1 A + q_2 A^2) / p with p = det(I - sA) = q_0 - s^3/120, q_0 = 1 - s/2
-    + s^2/10, q_1 = s (1 - s/2), q_2 = s^2; s <= 0, so no term of p or q_0 cancels."""
+    + s^2/10, q_1 = s (1 - s/2), q_2 = s^2; s <= 0, so no term of p or q_0 cancels.
+    Products accumulate in place as (r_0 X + r_1 A X) + r_2 A^2 X; X is left as is."""
     s = h * mhat_lhat
     q0 = 1.0 - s / 2 + s * s / 10
-    r = np.stack([q0, s * (1.0 - s / 2), s * s]) / (q0 - s * s * s / 120)
-    r = np.repeat(r, 2, axis=-1).reshape(3, -1)     # over each mode's (re, im) pair
+    r = _flat_symbols(np.stack([q0, s * (1.0 - s / 2), s * s]) / (q0 - s * s * s / 120))
 
     def solve(x):
         ax = _GAUSS_A_POWERS @ x
-        return (r[0] * x + r[1] * ax[:3] + r[2] * ax[3:]).view(complex)
+        y = r[0] * x
+        y += np.multiply(r[1], ax[:3], out=ax[:3])
+        y += np.multiply(r[2], ax[3:], out=ax[3:])
+        return y.view(complex)
     return solve
 
 
@@ -273,8 +290,6 @@ def gauss_rk6_start(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k == 1:
-        return [np.array(u0, dtype=float, copy=True)]
     background = _background(model, u0)
     mhat = model.m_symbol(grid.k2)
     mhat_lhat = mhat * model.l_symbol(grid.k2)
@@ -305,34 +320,29 @@ def gauss_rk6_start(
     )
 
 
-def energy(model: ModelSpec, grid: Grid, u: np.ndarray, u_hat=None, lhat=None) -> float:
+def energy(
+    model: ModelSpec, grid: Grid, u: np.ndarray, w_hat=None, weight=None, background=0.0
+) -> float:
     """Discrete free energy: cell volume times (u . Lu / 2 + sum F(u)).
 
-    u . Lu is evaluated spectrally from u_hat, the transform of u, which is
-    taken here when the caller does not already hold it.
+    u . Lu is evaluated spectrally from w_hat, the transform of w = u -
+    background (u itself when the caller holds none), with L's flat weight
+    ``_spectral_weights(grid, lhat)[0]``; the background enters as a scalar.
     """
-    if u_hat is None:
-        u_hat = grid.fft(u)
-    if lhat is None:
-        lhat = model.l_symbol(grid.k2)
-    quad = grid.spectral_inner(u_hat, u_hat, lhat)
+    if w_hat is None:
+        w_hat, background = grid.fft(u), 0.0
+    if weight is None:
+        weight = _spectral_weights(grid, model.l_symbol(grid.k2))[0]
+    x = np.ascontiguousarray(w_hat).view(np.float64).reshape(-1)
+    shift = background * grid.npoints     # zero mode of the background's transform
+    quad = float(np.einsum("i,i,i->", x, weight, x) + weight[0] * shift * (2.0 * x[0] + shift))
     return 0.5 * quad + grid.cell_volume * float(np.sum(model.potential(u)))
 
 
-def _masked_inverse_m(mhat: np.ndarray) -> np.ndarray:
-    inv = np.zeros_like(mhat)
-    nz = mhat != 0.0
-    inv[nz] = 1.0 / mhat[nz]
-    return inv
-
-
-def _check_zero_mean(model, grid, history):
-    zero_modes = history.delta_hats().reshape(history.k - 1, -1)[:, 0]
-    mean = np.max(np.abs(zero_modes)) / grid.npoints
-    if model.mass_conserving and mean > ZERO_MEAN_TOL:
-        raise InvariantViolationError(
-            f"state difference has mean {mean:.3e} under a mass-conserving model"
-        )
+def _spectral_weights(grid: Grid, *symbols) -> np.ndarray:
+    """Flat weights of (u, W v) from half spectra: W cell volume multiplicity / npoints."""
+    scale = grid.cell_volume / grid.npoints * grid.multiplicity
+    return _flat_symbols([w * scale for w in symbols])
 
 
 def modified_energy(
@@ -354,9 +364,13 @@ def modified_energy(
     e = energy(model, grid, history.state(0))
     if scheme.k == 1:
         return e
-    _check_zero_mean(model, grid, history)
-    mhat = model.m_symbol(grid.k2)
-    lhat = model.l_symbol(grid.k2)
+    zero_modes = history.delta_hats().reshape(history.k - 1, -1)[:, 0]
+    mean = np.max(np.abs(zero_modes)) / grid.npoints
+    if model.mass_conserving and mean > ZERO_MEAN_TOL:
+        raise InvariantViolationError(
+            f"state difference has mean {mean:.3e} under a mass-conserving model"
+        )
+    mhat, lhat = model.m_symbol(grid.k2), model.l_symbol(grid.k2)
     tracker = _QuadFormTracker(grid, history, mhat, lhat, report, reform(scheme).chat)
     return e + tracker.quadratic_parts()
 
@@ -366,15 +380,14 @@ class _QuadFormTracker:
 
     Each new state shifts every pairwise inner product by one lag, so only
     the new row is computed per step: one real matmul of the newest
-    difference in the history ring, weighted by M^{-1}, L and the identity,
-    against the ring's difference rows, each complex mode read as its
-    (re, im) float pair.
+    difference, weighted by M^{-1}, L and the identity into a preallocated
+    buffer, against the history's difference rows as (re, im) float pairs.
     """
 
     def __init__(self, grid, history, mhat, lhat, report, chat):
-        weights = np.stack([_masked_inverse_m(mhat), lhat, np.ones_like(lhat)])
-        weights *= grid.cell_volume / grid.npoints * grid.multiplicity
-        self.weights = np.repeat(weights, 2, axis=-1).reshape(3, -1)
+        inv_m = np.divide(1.0, mhat, out=np.zeros_like(mhat), where=mhat != 0.0)
+        self.weights = _spectral_weights(grid, inv_m, lhat, np.ones_like(lhat))
+        self._product = np.empty_like(self.weights)
         # Gram coefficients of E_G - E, in the order of self.gram
         self.coef = np.stack([
             -np.asarray(report.G_a, dtype=float) / history.tau,
@@ -388,7 +401,7 @@ class _QuadFormTracker:
         """Shift in the row of the history's newest difference."""
         n = self.gram.shape[-1]
         head, flat = history.head, history.delta_flat
-        row = (self.weights * flat[head]) @ flat.T              # by slot
+        row = np.multiply(self.weights, flat[head], out=self._product) @ flat.T   # by slot
         row = row[:, (head - np.arange(n)) % history.k]         # by lag
         self.gram[:, 1:, 1:] = self.gram[:, :-1, :-1].copy()
         self.gram[:, 0, :] = row
@@ -409,30 +422,20 @@ class EnergyTrace:
     mass: list = field(default_factory=list)
     max_abs: list = field(default_factory=list)
 
+    def columns(self) -> tuple:
+        return (self.steps, self.times, self.energy, self.modified_energy, self.mass, self.max_abs)
+
     def append(self, step, t, e, eg, mass, max_abs):
-        self.steps.append(step)
-        self.times.append(t)
-        self.energy.append(e)
-        self.modified_energy.append(eg)
-        self.mass.append(mass)
-        self.max_abs.append(max_abs)
+        for column, x in zip(self.columns(), (step, t, e, eg, mass, max_abs)):
+            column.append(x)
 
     def write_csv(self, path, header_comment: str | None = None):
-        def fmt(x):
-            return format(x, ".17g")
-
         with open(path, "w") as fh:
             if header_comment:
                 fh.write(f"# {header_comment}\n")
             fh.write("step,t,E,E_G,mass,max_abs\n")
-            for row in zip(
-                self.steps, self.times, self.energy,
-                self.modified_energy, self.mass, self.max_abs,
-            ):
-                fh.write(
-                    f"{row[0]},{fmt(row[1])},{fmt(row[2])},{fmt(row[3])},"
-                    f"{fmt(row[4])},{fmt(row[5])}\n"
-                )
+            for step, *values in zip(*self.columns()):
+                fh.write(",".join([str(step)] + [format(x, ".17g") for x in values]) + "\n")
 
 
 def simulate(
@@ -467,14 +470,15 @@ def simulate(
     certified = report is not None and not report.refused
     tracker = None
     if certified and k > 1:
-        tracker = _QuadFormTracker(
-            grid, history, flow.mhat, flow.lhat, report, reform(scheme).chat
-        )
-
+        tracker = _QuadFormTracker(grid, history, flow.mhat, flow.lhat, report, reform(scheme).chat)
+    # the energy shares the tracker's weight stack: L's weight is its row 1
+    lweight = tracker.weights[1] if tracker else _spectral_weights(grid, flow.lhat)[0]
     trace = EnergyTrace()
 
-    def record(step, u, e, window_full):
+    def record(step, u, back):
+        """Check and record u = u^step, held in the history ``back`` states back."""
         t = step * tau
+        e = energy(model, grid, u, history.deviation_hat(back), lweight, history.background)
         max_abs = float(np.max(np.abs(u)))
         if not math.isfinite(e):
             raise InvariantViolationError(f"energy is {e} after step {step} (t = {t})")
@@ -484,21 +488,19 @@ def simulate(
                 f"after step {step} (t = {t}); the Lipschitz certificate is void"
             )
         eg = float("nan")
-        if certified and window_full:
+        if certified and step >= k - 1:
             eg = e + (tracker.quadratic_parts() if tracker else 0.0)
         trace.append(step, t, e, eg, float(np.mean(u)), max_abs)
         if on_state is not None:
             on_state(step, t, u)
 
     for j, u in enumerate(states):
-        record(j, u, energy(model, grid, u, lhat=flow.lhat), j == k - 1)
+        record(j, u, k - 1 - j)
     for n in range(k, k + n_steps):
         u = flow.step(history)
         if tracker is not None:
             tracker.push(history)
-        u_hat = history.deviation_hat(0).copy()   # transform of u itself
-        u_hat.flat[0] += history.background * grid.npoints
-        record(n, u, energy(model, grid, u, u_hat, flow.lhat), True)
+        record(n, u, 0)
     return trace, history
 
 
@@ -663,9 +665,5 @@ def pfc_experiment(
     )
     offset = (1.0 + model.epsilon) ** 2 / 4.0 * grid.volume
     return PfcExperimentResult(
-        trace=trace,
-        report=report,
-        energy_offset=offset,
-        max_abs=max(trace.max_abs),
-        seed=seed,
+        trace=trace, report=report, energy_offset=offset, max_abs=max(trace.max_abs), seed=seed
     )

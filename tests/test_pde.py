@@ -558,6 +558,60 @@ def test_history_ring_matches_plain_transforms():
         assert np.max(np.abs(tracker.gram - gram)) <= 1e-12 * np.max(np.abs(gram))
 
 
+@pytest.mark.parametrize("with_source", [False, True])
+def test_fused_update_matches_per_lag_sum(with_source):
+    # 2k+1 updates use every ring head at least twice; each new transform
+    # must be the per-lag sum (c_i w_i + d_i f_i + tau Bhat_i g_i) / pivot
+    # over the lag-ordered slots, so a wrong head permutation fails
+    grid = small_grid(16)
+    model = pfc(0.25)
+    scheme = lmm6_scheme()
+    k, tau = scheme.k, 0.01
+    flow = SpectralFlow(model, grid, scheme, tau)
+    mode = np.sin(grid.coordinates()[0])
+    source = (lambda t: grid.fft(np.cos(t) * mode)) if with_source else None
+    rng = np.random.default_rng(13)
+    fields = [0.285 + 0.1 * rng.uniform(-1, 1, grid.shape) for _ in range(k)]
+    history = flow.history(fields, source=source)
+    A, B, Bhat = ([float(x) for x in c] for c in (scheme.A, scheme.B, scheme.Bhat))
+    tml = tau * flow.mhat * flow.lhat
+    pivot = A[0] - B[0] * tml
+    for _ in range(2 * k + 1):
+        expected = np.zeros_like(history.deviation_hat(0))
+        for i in range(1, k + 1):
+            slot = history.slot(i - 1)
+            expected += (tml * B[i] - A[i]) * slot[pde._W]
+            expected += tau * flow.mhat * Bhat[i - 1] * slot[pde._F]
+            if with_source:
+                expected += tau * Bhat[i - 1] * slot[pde._G]
+        expected /= pivot
+        flow.step(history)
+        got = history.deviation_hat(0)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("certified", [False, True])
+@pytest.mark.parametrize(
+    "model", [allen_cahn(0.05), cahn_hilliard(0.5), pfc(0.25)], ids=lambda m: m.name
+)
+def test_loop_energy_matches_energy_of_the_full_field(model, certified):
+    # the loop takes the energy from the deviation's transform in hand plus
+    # a scalar zero-mode term for the background (the initial mean of the
+    # mass-conserving models); it must equal the energy of u transformed anew
+    grid = Grid((32, 32), (32.0, 32.0))
+    scheme = lmm6_scheme()
+    report = certify_scheme(scheme, model.constants()) if certified else None
+    u0 = 0.285 + 0.1 * np.random.default_rng(17).uniform(-1, 1, grid.shape)
+    states = []
+    trace, _ = simulate(
+        model, grid, scheme, report, u0, tau=0.01, n_steps=20,
+        on_state=lambda n, t, u: states.append(u.copy()),
+    )
+    assert len(states) == len(trace.energy) == 20 + scheme.k
+    for e, u in zip(trace.energy, states):
+        assert e == pytest.approx(energy(model, grid, u), rel=1e-13)
+
+
 def test_multistep_update_costs_three_transforms(monkeypatch):
     # per update: one inverse transform for f(u) with its residue check of
     # the self-conjugate planes, one forward transform of f(u); the energy
