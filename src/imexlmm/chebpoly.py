@@ -110,22 +110,25 @@ def global_min(series: ChebSeries) -> MinResult:
 
 
 def global_minima(series) -> np.ndarray:
-    """``global_min`` values of the rows of an (n, k) stack, from one stacked
-    ``eigvals`` of colleague matrices built as ``chebroots`` builds them (close
-    points are not merged).  Rows whose derivative ends in an exact zero or has
-    degree < 2 go through ``global_min``."""
+    """``global_min`` values of the rows of an (n, k) stack, with the roots
+    ``chebroots`` takes: -d0/d1 or none below degree 2, else one stacked
+    ``eigvals`` of colleague matrices (close points are not merged).  Rows
+    whose derivative ends in an exact zero go through ``global_min``."""
     s = np.asarray(series, dtype=float)
-    n, k = s.shape
+    k = s.shape[1]
     d = cheb.chebder(s, axis=1)
-    full = d[:, -1] != 0 if k > 3 else np.zeros(n, dtype=bool)
+    full = d[:, -1] != 0
     mins = np.array([np.nan if f else global_min(ChebSeries(r)).min_value for r, f in zip(s, full)])
     if full.any():
         d, deg = d[full], k - 2
-        # the colleague matrix of T_deg, then chebcompanion's last column
-        mats = np.repeat(cheb.chebcompanion(np.eye(deg + 1)[deg])[None], len(d), axis=0)
-        scl = np.array([1.0] + [np.sqrt(0.5)] * (deg - 1))
-        mats[:, :, -1] -= (d[:, :-1] / d[:, -1:]) * (scl / scl[-1]) * 0.5
-        roots = np.linalg.eigvals(mats[:, ::-1, ::-1])
+        if deg >= 2:
+            # the colleague matrix of T_deg, then chebcompanion's last column
+            mats = np.repeat(cheb.chebcompanion(np.eye(deg + 1)[deg])[None], len(d), axis=0)
+            scl = np.array([1.0] + [np.sqrt(0.5)] * (deg - 1))
+            mats[:, :, -1] -= (d[:, :-1] / d[:, -1:]) * (scl / scl[-1]) * 0.5
+            roots = np.linalg.eigvals(mats[:, ::-1, ::-1])
+        else:
+            roots = -d[:, :deg] / d[:, deg:]
         x = np.where(_accepted(roots), np.clip(roots.real, -1.0, 1.0), -1.0)
         x = np.concatenate([x, np.broadcast_to([-1.0, 1.0], (len(d), 2))], axis=1)
         mins[full] = cheb.chebval(x.T, s[full].T, tensor=False).min(axis=0)

@@ -160,7 +160,7 @@ def cmd_stability_slice(args) -> int:
 
 def cmd_stability_angle(args) -> int:
     scheme = _load_scheme(args.scheme)
-    angle = stability.stability_angle(scheme, n_radii=args.radii)
+    angle = stability.stability_angle(scheme)
     print(f"A(theta)-stability angle: {_fmt(angle)} degrees")
     return EXIT_OK
 
@@ -312,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sl.set_defaults(func=cmd_stability_slice)
     p_an = pst.add_parser("angle", help="A(theta) sector angle")
     p_an.add_argument("--scheme", required=True)
-    p_an.add_argument("--radii", type=int, default=200,
-                      help="radii sampled per ray; the angle is an upper bound from them")
     p_an.set_defaults(func=cmd_stability_angle)
 
     p = sub.add_parser("simulate", help="run a phase-field simulation")

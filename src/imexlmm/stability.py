@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
 import numpy as np
 
@@ -34,8 +36,7 @@ ROOT_MARGIN = 1e-6     # roots this close to |xi| = 1 are left to eigenvalues
 SCHUR_COHN_BAND = 1e-9  # relative |delta| at or below this is undecided
 POINT_BLOCK = 4096      # points per recursion batch; keeps it in cache
 LEAD_TOL = 1e-14        # |a_n| <= LEAD_TOL * max|a| drops the polynomial's degree
-ANGLE_RADII = (1e-3, 1e6)  # smallest and largest sampled |z_I| on a ray
-BISECTION_ITERS = 42       # halvings of the angle bracket
+LOCUS_TOL = 1e-9        # locus points with |rho| or |sigma| <= LOCUS_TOL * sum|coeffs| are dropped
 
 
 class UndefinedAngleError(ValueError):
@@ -241,42 +242,39 @@ def region_slice(
     )
 
 
-def _ray_stable(rho, sigma, sigma_hat, phi, radii):
-    zi = -radii * np.exp(1j * phi)
-    return bool(np.all(_points_stable(rho, sigma, sigma_hat, zi, np.zeros_like(zi))))
+def stability_angle(s: SchemeCoefficients) -> float:
+    """A(alpha) angle in degrees, capped at 90: the largest alpha such that
+    every implicit point z_I = -r e^{i phi}, |phi| < alpha, is stable.
 
-
-def stability_angle(s: SchemeCoefficients, n_radii: int = 200) -> float:
-    """Largest sector half-angle (degrees, capped at 90) such that every
-    sampled implicit point z_I = -r e^{i phi}, |phi| <= angle, is stable.
-
-    Bisection on the angle; each ray is sampled at n_radii logarithmic radii
-    in ANGLE_RADII plus the r -> infinity check on sigma.  Real coefficients
-    make the region conjugate-symmetric, so only nonnegative angles are
-    scanned.  The angle is an upper bound from the sampled radii: an unstable
-    band between two samples goes unseen (BDF6: 90 at n_radii = 5, 17.84 at 200).
+    It is 0 unless sigma passes the root condition (the r -> infinity limit)
+    and z_I = -1 is stable, else the least pi - |arg z| over the boundary
+    locus z = rho(xi) / sigma(xi), |xi| = 1 (Hairer & Wanner, Solving ODEs
+    II, V.2).  That least value sits at a stationary point of arg z, a root
+    of Re(xi (rho' sigma - rho sigma') conj(rho sigma)), or on the real axis,
+    a root of Im(rho conj(sigma)); both are exact integer polynomials, whose
+    roots at xi = 1 (z -> 0, limit 90 degrees) are divided out exactly.  Each
+    root, projected onto the circle, is a locus point, so roots off the
+    circle never undercut the minimum; points where rho or sigma vanish drop.
     """
-    if n_radii < 1:
-        raise ValueError(f"n_radii must be >= 1, got {n_radii}")
-    polys = char_polys(s)
-    rho, sigma, sigma_hat = polys.as_arrays()
+    rho, sigma, sigma_hat = char_polys(s).as_arrays()
     if not root_condition(rho).zero_stable:
         raise UndefinedAngleError("scheme is not zero-stable")
-    r_min, r_max = ANGLE_RADII
-    radii = np.logspace(np.log10(r_min), np.log10(r_max), n_radii)
-    # r -> infinity limit: the characteristic roots approach those of sigma,
-    # so every ray fails with it
-    if not root_condition(sigma).zero_stable or not _ray_stable(
-        rho, sigma, sigma_hat, 0.0, radii
-    ):
+    if not (root_condition(sigma).zero_stable
+            and _points_stable(rho, sigma, sigma_hat, -1.0, 0.0)[0]):
         return 0.0
-    if _ray_stable(rho, sigma, sigma_hat, np.pi / 2, radii):
-        return 90.0
-    lo, hi = 0.0, np.pi / 2
-    for _ in range(BISECTION_ITERS):
-        mid = 0.5 * (lo + hi)
-        if _ray_stable(rho, sigma, sigma_hat, mid, radii):
-            lo = mid
-        else:
-            hi = mid
-    return float(np.degrees(lo))
+    scale = lcm(*(c.denominator for c in s.A + s.B))  # rho = A, sigma = B
+    ri, si = (np.array([int(c * scale) for c in p], dtype=object) for p in (s.A, s.B))
+    wronskian = np.convolve(np.polyder(ri), si) - np.convolve(ri, np.polyder(si))
+    y = np.convolve(np.convolve(np.append(wronskian, 0), ri[::-1]), si[::-1])
+    crossing = np.convolve(ri, si[::-1]) - np.convolve(si, ri[::-1])
+    roots = []
+    for p in (y + y[::-1], crossing):
+        p = list(np.trim_zeros(p))
+        while len(p) > 1 and sum(p) == 0:  # synthetic division by (xi - 1)
+            p = list(accumulate(p[:-1]))
+        roots.extend(np.roots(np.array(p, dtype=float)))
+    xi = np.array(roots) / np.abs(roots)
+    at_rho, at_sigma = np.polyval(rho, xi), np.polyval(sigma, xi)
+    keep = np.minimum(abs(at_rho) / abs(rho).sum(), abs(at_sigma) / abs(sigma).sum()) > LOCUS_TOL
+    gaps = np.pi - np.abs(np.angle(at_rho[keep] * at_sigma[keep].conj()))
+    return min(90.0, float(np.degrees(gaps.min(initial=np.pi))))

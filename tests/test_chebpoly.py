@@ -166,6 +166,20 @@ def test_global_minima_match_global_min(stack):
     assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_global_minima_closed_form_is_bitwise_global_min(k):
+    rng = np.random.default_rng(k)
+    stack = rng.uniform(-3.0, 3.0, (60, k))
+    if k == 3:
+        stack[0:5, 2] = 0.0                   # d1 = 0: no stationary point
+        stack[5:10, 1] = 8.0 * stack[5:10, 2]  # vertex -d0/d1 = -2, outside
+        stack[10:15, 1] = 4.0 * stack[10:15, 2]  # vertex at -1
+        stack[15:20, 1] = -4.0 * stack[15:20, 2]  # vertex at 1
+    got = global_minima(stack)
+    want = np.array([global_min(ChebSeries(tuple(row))).min_value for row in stack])
+    assert np.array_equal(got, want)
+
+
 def test_global_minima_known_values():
     lmm6 = reform(lmm6_scheme())
     rows = [[float(x) for x in r] for r in (lmm6.a, lmm6.b, BDF6_A.s)]

@@ -89,7 +89,7 @@ def test_barrier_search_output(tmp_path):
 
 
 def test_stability_angle_output(lmm6_file, capsys):
-    assert run(["stability", "angle", "--scheme", str(lmm6_file), "--radii", "100"]) == 0
+    assert run(["stability", "angle", "--scheme", str(lmm6_file)]) == 0
     out = capsys.readouterr().out
     assert "degrees" in out
 
@@ -159,7 +159,6 @@ def test_determinism_byte_identical(tmp_path, lmm6_file):
          "--tau", "0", "--T", "1", "--trace", "{out}"],
         ["simulate", "--model", "ac", "--scheme", "{lmm6}", "--grid", "16",
          "--tau", "0.01", "--T", "0.1", "--snapshots", "every:0", "--trace", "{out}"],
-        ["stability", "angle", "--scheme", "{lmm6}", "--radii", "0"],
         ["barrier", "search", "--k", "3", "--budget", "0", "--out", "{out}"],
         ["barrier", "search", "--k", "3", "--kappa", "0", "--out", "{out}"],
         ["simulate", "--model", "ac", "--scheme", "{lmm6}", "--grid", "16",
@@ -168,7 +167,7 @@ def test_determinism_byte_identical(tmp_path, lmm6_file):
          "--tau", "0.01", "--T", "0.02", "--trace", "{out}"],
     ],
     ids=["unknown-flag", "bdf-k9", "negative-ell-f", "missing-scheme",
-         "ac-tau-0", "pfc-tau-0", "snapshots-every-0", "angle-radii-0",
+         "ac-tau-0", "pfc-tau-0", "snapshots-every-0",
          "search-budget-0", "search-kappa-0", "ac-T-short", "pfc-T-short"],
 )
 def test_usage_error_exit_code(argv, tmp_path, lmm6_file, capsys):

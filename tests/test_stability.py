@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from imexlmm import stability
-from imexlmm.schemes import bdf_coefficients, lmm6_scheme, lmm_from_parameters
+from imexlmm.schemes import SchemeCoefficients, bdf_coefficients, lmm6_scheme, lmm_from_parameters
 from imexlmm.stability import (
     UndefinedAngleError,
     char_polys,
@@ -123,10 +123,63 @@ def test_stability_angle_lmm6():
     assert stability_angle(lmm6_scheme()) == pytest.approx(26.15, abs=0.05)
 
 
-def test_stability_angle_refinement_stable():
-    coarse = stability_angle(lmm6_scheme(), n_radii=200)
-    fine = stability_angle(lmm6_scheme(), n_radii=400)
-    assert abs(coarse - fine) < 0.1
+# Hairer & Wanner, Solving ODEs II, V.2 (BDF); the paper's six-step value
+PUBLISHED_ANGLES = {"bdf3": 86.03, "bdf4": 73.35, "bdf5": 51.84, "bdf6": 17.84, "lmm6": 26.15}
+OFFSET = np.radians(0.01)
+
+
+def _locus_minimizer(s, n=200_001):
+    """Dense boundary locus z(theta) = rho/sigma: the point of least
+    pi - |arg z| over theta in (0, pi]."""
+    rho, sigma, _ = char_polys(s).as_arrays()
+    xi = np.exp(1j * np.linspace(np.pi / n, np.pi, n))
+    z = np.polyval(rho, xi) / np.polyval(sigma, xi)
+    return z[np.argmin(np.pi - np.abs(np.angle(z)))]
+
+
+@pytest.mark.parametrize("name", list(PUBLISHED_ANGLES))
+def test_stability_angle_matches_published(name):
+    assert stability_angle(SCHEMES[name]) == pytest.approx(PUBLISHED_ANGLES[name], abs=0.005)
+
+
+@pytest.mark.parametrize("name", list(PUBLISHED_ANGLES))
+def test_point_just_outside_the_angle_is_unstable(name):
+    s = SCHEMES[name]
+    rho, sigma, _ = char_polys(s).as_arrays()
+    r = abs(_locus_minimizer(s))
+    z = -r * np.exp(1j * (np.radians(stability_angle(s)) + OFFSET))
+    assert not root_condition(rho - z * sigma).zero_stable
+
+
+@pytest.mark.parametrize("name", list(PUBLISHED_ANGLES))
+def test_ray_just_inside_the_angle_is_stable(name):
+    s = SCHEMES[name]
+    rho, sigma, sigma_hat = char_polys(s).as_arrays()
+    zi = -np.logspace(-3, 6, 20_001) * np.exp(1j * (np.radians(stability_angle(s)) - OFFSET))
+    assert stability._points_stable(rho, sigma, sigma_hat, zi, np.zeros_like(zi)).all()
+
+
+def test_bdf4_sampled_counterexample_lies_outside_the_angle():
+    # the sampled bisection reported 73.3987 degrees; this point inside that
+    # sector is unstable
+    s = bdf_coefficients(4)
+    rho, sigma, _ = char_polys(s).as_arrays()
+    z = -1.906 * np.exp(1j * np.radians(73.37))
+    assert not root_condition(rho - z * sigma).zero_stable
+    assert stability_angle(s) < 73.37
+
+
+def test_stability_angle_sees_a_crossing_of_the_negative_axis():
+    # z_I = -1 is stable and the stationary points of arg z alone give about
+    # 0.1 degrees, but the locus crosses the negative real axis: the angle is 0
+    s = SchemeCoefficients(
+        3, [F(3, 4), F(-3, 2), F(1), F(-1, 4)], [F(3, 2), F(1), F(5, 4), F(0)], [F(1, 3)] * 3
+    )
+    rho, sigma, sigma_hat = char_polys(s).as_arrays()
+    zi = -np.logspace(-3, 6, 20_001)
+    assert stability._points_stable(rho, sigma, sigma_hat, -1.0, 0.0)[0]
+    assert not stability._points_stable(rho, sigma, sigma_hat, zi, np.zeros_like(zi)).all()
+    assert stability_angle(s) < 1e-9
 
 
 def test_stability_angle_requires_zero_stability():
@@ -283,15 +336,15 @@ def test_lmm6_slice_mask_is_the_recorded_one():
     assert hashlib.sha256(np.packbits(mask).tobytes()).hexdigest() == LMM6_SLICE_SHA256
 
 
-# angles from the all-points eigenvalue classifier, to the last bit
+# angles from the boundary locus, to the last bit
 RECORDED_ANGLES = {
     "bdf1": 90.0,
     "bdf2": 90.0,
-    "bdf3": 86.03832859529345,
-    "bdf4": 73.39874024942222,
-    "bdf5": 51.853728870228224,
-    "bdf6": 17.84092677056606,
-    "lmm6": 26.15924812029335,
+    "bdf3": 86.03236686021164,
+    "bdf4": 73.35167047457846,
+    "bdf5": 51.839755836049896,
+    "bdf6": 17.83977779224568,
+    "lmm6": 26.153620668609403,
 }
 
 
