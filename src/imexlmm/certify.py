@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebtrim
+from numpy.polynomial.chebyshev import chebtrim, chebval
 
 from .chebpoly import ChebSeries, global_min
 from .schemes import SchemeCoefficients, reform
@@ -35,11 +35,8 @@ __all__ = [
     "certify_scheme",
 ]
 
-# |z| bands for classifying Laurent roots: strictly inside / on the unit
-# circle.  Double roots on the circle split by ~sqrt(eps) under companion
-# eigensolves, so the circle band must be much wider than that split.
-_CIRCLE_BAND = 1e-5
-_ANGLE_CLUSTER = 1e-4
+# Relative slack on gamma above the series minimum; candidates within it of
+# gamma are where the series touches gamma.
 _GAMMA_SLACK = 1e-9
 
 
@@ -103,19 +100,23 @@ def spectral_factorize(s, gamma: float) -> np.ndarray:
     """Real coefficients p with |P(e^{i t})|^2 = M(t; s) - gamma.
 
     The Laurent polynomial L(z) = s_0 - gamma + sum_m (s_m/2)(z^m + z^-m) is
-    nonnegative on the unit circle, so its roots pair up reciprocally.  P is
-    built from one root per pair, taking those with |z| <= 1; circle roots
-    (which arrive with even multiplicity, split by rounding) are clustered by
-    angle and replaced by their projected means before assigning half of each
-    cluster to P.  The leading scale is fixed positive, so p is deterministic
-    up to that sign.
+    nonnegative on the unit circle, so its roots pair up reciprocally and P
+    takes one root per pair.  Its unit-circle roots sit where the series
+    touches gamma, at the candidates of the one ``global_min`` call that also
+    bounds gamma: each candidate (with multiplicity) within the gamma slack
+    of gamma gives the exact roots e^{+-i acos x}, or x itself at an
+    endpoint.  Each exact root replaces the two computed roots of z^d L(z)
+    nearest to it and enters P once; of the rest, P takes those with
+    |z| < 1.  The leading scale is fixed positive, so p is deterministic up
+    to that sign.
     """
     series = _as_series(s)
     k = series.k
-    gmax = gamma_max(series)
-    if gamma > gmax + _GAMMA_SLACK * max(1.0, abs(gmax)):
+    res = global_min(series)
+    slack = _GAMMA_SLACK * max(1.0, abs(res.min_value))
+    if gamma > res.min_value + slack:
         raise CertificateInfeasibleError(
-            f"gamma={gamma!r} exceeds series minimum {gmax!r}"
+            f"gamma={gamma!r} exceeds series minimum {res.min_value!r}"
         )
     coeffs = np.array(series.s)
     coeffs[0] -= gamma
@@ -135,28 +136,14 @@ def spectral_factorize(s, gamma: float) -> np.ndarray:
         poly[d - m] += coeffs[m] / 2.0
     roots = np.roots(poly[::-1])
 
-    moduli = np.abs(roots)
-    selected = list(roots[moduli < 1.0 - _CIRCLE_BAND])
-    circle = roots[np.abs(moduli - 1.0) <= _CIRCLE_BAND]
-    if len(circle) % 2:
-        raise ArithmeticError("odd number of unit-circle roots; L < 0 somewhere?")
-    if len(circle):
-        angles = np.angle(circle)
-        order = np.argsort(angles)
-        pts = circle[order]
-        i = 0
-        while i < len(pts):
-            j = i + 1
-            while j < len(pts) and abs(np.angle(pts[j] / pts[i])) < _ANGLE_CLUSTER:
-                j += 1
-            group = pts[i:j]
-            if len(group) % 2:
-                raise ArithmeticError("unit-circle root cluster of odd size")
-            # mean of the split pair cancels the O(sqrt(eps)) perturbation
-            center = np.mean(group)
-            center /= abs(center)
-            selected.extend([center] * (len(group) // 2))
-            i = j
+    x = np.array(res.critical_points)
+    circle = []
+    for t in x[chebval(x, series.s) - gamma <= slack]:
+        z = np.exp(1j * np.arccos(t))
+        circle.extend([t] if abs(t) == 1.0 else [z, z.conjugate()])
+    for z in circle:
+        roots = np.delete(roots, np.argsort(np.abs(roots - z))[:2])
+    selected = [*circle, *roots[np.abs(roots) < 1.0]]
     if len(selected) != d:
         raise ArithmeticError(
             f"root selection picked {len(selected)} of {d} reciprocal pairs"

@@ -2,11 +2,14 @@
 
 The energy machinery reduces to locating the minimum of a low-degree series
 on [-1, 1].  The kernel is ``numpy.polynomial.chebyshev``: ``chebval``
-evaluates, ``chebder`` differentiates, and ``chebroots`` returns the
-stationary points as the eigenvalues of the colleague matrix of the
-differentiated series, after dropping its exactly-zero trailing coefficients
-(the rule of ``chebtrim(..., tol=0)``).  The minimum is taken over the real
-in-interval stationary points and the interval endpoints.
+evaluates and ``chebder`` differentiates.  One candidate routine serves a
+stack of series: each row's candidates are the endpoints and the real
+in-interval roots of its derivative, taken as ``chebroots`` takes them
+(exactly-zero trailing coefficients dropped first, the rule of
+``chebtrim(..., tol=0)``, then the colleague matrix's eigenvalues).  Close
+roots are not merged, so a multiple stationary point counts once per
+computed root, and a stationary point clipped onto an endpoint sits beside
+that endpoint.  The minimum is the least value over the candidates.
 """
 
 from __future__ import annotations
@@ -26,11 +29,10 @@ __all__ = [
 ]
 
 # Acceptance tolerances for eigenvalue-based roots: a candidate is real when
-# |Im| <= REAL_TOL * max(1, |Re|), in-interval up to INTERVAL_TOL and then
-# clamped, and duplicates within CLUSTER_TOL are merged.
+# |Im| <= REAL_TOL * max(1, |Re|), and in-interval up to INTERVAL_TOL, after
+# which it is clamped to [-1, 1].
 REAL_TOL = 1e-8
 INTERVAL_TOL = 1e-10
-CLUSTER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,10 @@ class ChebSeries:
 
 @dataclass(frozen=True)
 class MinResult:
+    """Least value over the candidates, its first point, and the candidates
+    in ascending order: -1, each accepted derivative root, 1.  Roots are not
+    merged, and a root clipped to +-1 repeats that endpoint."""
+
     min_value: float
     argmin: float
     critical_points: tuple
@@ -80,56 +86,53 @@ def _accepted(roots):
     return (np.abs(roots.imag) <= REAL_TOL * np.maximum(1.0, re)) & (re <= 1.0 + INTERVAL_TOL)
 
 
-def _stationary_points(s: tuple) -> list:
-    roots = cheb.chebroots(cheb.chebder(s))
-    inside = np.clip(roots.real[_accepted(roots)], -1.0, 1.0)
-    merged = []
-    for p in np.sort(inside):
-        if not merged or p - merged[-1] > CLUSTER_TOL:
-            merged.append(float(p))
-    return merged
+def _candidates(s: np.ndarray) -> np.ndarray:
+    """Candidate points of the rows of an (n, k) stack: -1, the derivative
+    roots ``chebroots`` takes (accepted and clipped, NaN where rejected), 1.
+
+    The derivative's exact trailing zeros are trimmed first, and rows are
+    grouped by trimmed degree: degree 1 has the root -d0/d1, degree 2 and up
+    the eigenvalues of its colleague matrix, one stacked ``eigvals`` a group.
+    """
+    d = cheb.chebder(s, axis=1)
+    nonzero = d != 0
+    deg = np.where(nonzero.any(axis=1), d.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    x = np.full((len(s), d.shape[1] + 1), np.nan)
+    x[:, 0], x[:, -1] = -1.0, 1.0
+    for g in set(deg.tolist()) - {0}:
+        rows = deg == g
+        dg = d[rows, : g + 1]
+        if g == 1:
+            roots = -dg[:, :1] / dg[:, 1:]
+        else:
+            # the colleague matrix of T_g, then chebcompanion's last column
+            mats = np.repeat(cheb.chebcompanion(np.eye(g + 1)[g])[None], len(dg), axis=0)
+            scl = np.array([1.0] + [np.sqrt(0.5)] * (g - 1))
+            mats[:, :, -1] -= (dg[:, :-1] / dg[:, -1:]) * (scl / scl[-1]) * 0.5
+            roots = np.linalg.eigvals(mats[:, ::-1, ::-1])
+        x[rows, 1 : g + 1] = np.where(_accepted(roots), np.clip(roots.real, -1.0, 1.0), np.nan)
+    return x
 
 
 def global_min(series: ChebSeries) -> MinResult:
-    """Global minimum of the series on [-1, 1].
-
-    Candidates are the real in-interval colleague eigenvalues of the
-    derivative plus the endpoints.  ``chebroots`` drops exactly-zero trailing
-    coefficients of the derivative, so a constant series has the endpoints
-    as its only candidates and reports its value at argmin -1, the first
-    of two equal values.
-    """
-    candidates = [-1.0, *_stationary_points(series.s), 1.0]
-    values = cheb.chebval(candidates, series.s)
+    """Global minimum of the series on [-1, 1]: the one-row case of
+    ``global_minima``, with the candidates in ascending order and the first
+    (leftmost) of equal values as argmin.  A constant series has the
+    endpoints as its only candidates and reports argmin -1."""
+    x = _candidates(np.array([series.s]))[0]
+    x = np.sort(x[~np.isnan(x)])
+    values = cheb.chebval(x, series.s)
     best = int(np.argmin(values))
     return MinResult(
         min_value=float(values[best]),
-        argmin=candidates[best],
-        critical_points=tuple(candidates),
+        argmin=float(x[best]),
+        critical_points=tuple(x.tolist()),
     )
 
 
 def global_minima(series) -> np.ndarray:
-    """``global_min`` values of the rows of an (n, k) stack, with the roots
-    ``chebroots`` takes: -d0/d1 or none below degree 2, else one stacked
-    ``eigvals`` of colleague matrices (close points are not merged).  Rows
-    whose derivative ends in an exact zero go through ``global_min``."""
+    """``global_min`` values of the rows of an (n, k) stack: the least value
+    over each row's candidates, one stacked ``chebval``."""
     s = np.asarray(series, dtype=float)
-    k = s.shape[1]
-    d = cheb.chebder(s, axis=1)
-    full = d[:, -1] != 0
-    mins = np.array([np.nan if f else global_min(ChebSeries(r)).min_value for r, f in zip(s, full)])
-    if full.any():
-        d, deg = d[full], k - 2
-        if deg >= 2:
-            # the colleague matrix of T_deg, then chebcompanion's last column
-            mats = np.repeat(cheb.chebcompanion(np.eye(deg + 1)[deg])[None], len(d), axis=0)
-            scl = np.array([1.0] + [np.sqrt(0.5)] * (deg - 1))
-            mats[:, :, -1] -= (d[:, :-1] / d[:, -1:]) * (scl / scl[-1]) * 0.5
-            roots = np.linalg.eigvals(mats[:, ::-1, ::-1])
-        else:
-            roots = -d[:, :deg] / d[:, deg:]
-        x = np.where(_accepted(roots), np.clip(roots.real, -1.0, 1.0), -1.0)
-        x = np.concatenate([x, np.broadcast_to([-1.0, 1.0], (len(d), 2))], axis=1)
-        mins[full] = cheb.chebval(x.T, s[full].T, tensor=False).min(axis=0)
-    return mins
+    x = _candidates(s)
+    return np.nanmin(cheb.chebval(x.T, s.T, tensor=False), axis=0)

@@ -115,7 +115,8 @@ def _lead_ok(coeffs: np.ndarray) -> np.ndarray:
 
 def _eigen_stable(coeffs: np.ndarray) -> np.ndarray:
     """Root condition per row (descending coefficients) from companion
-    eigenvalues; degenerate leading coefficients go through root_condition."""
+    eigenvalues; degenerate leading coefficients go through root_condition,
+    except all-zero rows, which have every xi as a root and are unstable."""
     ok_lead = _lead_ok(coeffs)
     stable = np.zeros(len(coeffs), dtype=bool)
     if np.any(ok_lead):
@@ -131,7 +132,7 @@ def _eigen_stable(coeffs: np.ndarray) -> np.ndarray:
         close = np.abs(roots[:, :, None] - roots[:, None, :]) < CLUSTER_RADIUS
         repeated = np.any(pairs & close, axis=(1, 2))
         stable[ok_lead] = np.all(moduli <= 1.0 + ROOT_TOL, axis=1) & ~repeated
-    for idx in np.nonzero(~ok_lead)[0]:
+    for idx in np.nonzero(~ok_lead & coeffs.any(axis=1))[0]:
         stable[idx] = root_condition(coeffs[idx]).zero_stable
     return stable
 

@@ -1,7 +1,10 @@
 """Energy certificates: factorization, U/G recovery, full scheme reports."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as cheb
 
 from imexlmm.certify import (
     CertificateInfeasibleError,
@@ -14,8 +17,15 @@ from imexlmm.certify import (
     spectral_factorize,
     tau_max_bound,
 )
-from imexlmm.chebpoly import ChebSeries, global_min
-from imexlmm.schemes import bdf_coefficients, lmm6_scheme, reform
+from imexlmm.chebpoly import ChebSeries, global_min, global_minima
+from imexlmm.schemes import (
+    SchemeError,
+    bdf_coefficients,
+    lmm6_scheme,
+    lmm_from_parameters,
+    reform,
+    series_map,
+)
 
 AC_CONSTANTS = ModelConstants(ell_f=2.0, zeta=1.0, eta=1.0)
 
@@ -80,6 +90,51 @@ def test_factorize_trivial_constant():
 def test_factorize_rejects_large_gamma():
     with pytest.raises(CertificateInfeasibleError):
         spectral_factorize(bdf_a_series(2), 1.1)
+
+
+TOUCHING_SERIES = {
+    # T(x; s) - min vanishes at both endpoints
+    "both-endpoints": cheb.poly2cheb([1.0, 0.0, -1.0]),
+    # double zero at x = 0.3 and a simple one at x = -1
+    "interior-and-minus-one": cheb.poly2cheb(np.polymul([1.0, -0.6, 0.09], [1.0, 1.0])[::-1]),
+    # T = 3/8 + (x - 1)^2 / 4: the stationary point is the endpoint x = 1
+    "stationary-endpoint": np.array([0.75, -0.5, 0.125]),
+    # x^2 touches 0 at x = 0 only
+    "interior-only": cheb.poly2cheb([0.0, 0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("s", TOUCHING_SERIES.values(), ids=TOUCHING_SERIES.keys())
+def test_factorize_at_the_minimum_where_the_series_touches_it(s):
+    gamma = gamma_max(s)
+    p = spectral_factorize(s, gamma)
+    assert np.max(np.abs(series_from_factor(p, gamma) - s)) <= 1e-14 * np.max(np.abs(s))
+
+
+@pytest.mark.parametrize("w", [(2, 0, Fraction(1, 4)), (Fraction(-1, 4), Fraction(15, 8), Fraction(-1, 8))])
+def test_certify_schemes_whose_b_touches_at_an_endpoint(w):
+    report = certify_scheme(lmm_from_parameters(w), AC_CONSTANTS)
+    assert not report.refused
+    assert report.cert_a is not None and report.cert_b is not None
+
+
+def test_feasible_tables_in_eighths_all_certify():
+    # every table with both minima positive gets both certificates
+    rng = np.random.default_rng(0)
+    certified = 0
+    for k in range(2, 6):
+        M, c = (np.array(x, dtype=float) for x in series_map(k))
+        w = rng.integers(-16, 17, (1000, k))
+        minima = global_minima((w @ M.T / 8 + c).reshape(-1, k)).reshape(-1, 2)
+        for row in w[(minima > 0).all(axis=1)][:100]:
+            try:
+                scheme = lmm_from_parameters([Fraction(int(v), 8) for v in row])
+            except SchemeError:
+                continue
+            report = certify_scheme(scheme, AC_CONSTANTS)
+            assert report.cert_a is not None and report.cert_b is not None, row
+            certified += 1
+    assert certified >= 200
 
 
 def test_build_U_trivial():

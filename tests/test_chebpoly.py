@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as cheb
 
 from imexlmm.chebpoly import (
+    INTERVAL_TOL,
+    REAL_TOL,
     ChebSeries,
     derivative_coeffs,
     evaluate,
@@ -147,11 +150,23 @@ def test_global_min_with_exact_trailing_zeros(coeffs, min_value, argmin):
     assert -1.0 in res.critical_points and 1.0 in res.critical_points
 
 
+def reference_min(row):
+    """Reference minimum of one row through ``chebroots``: ``chebval`` at -1,
+    the accepted and clipped roots of the derivative, and 1."""
+    roots = cheb.chebroots(cheb.chebder(row))
+    accepted = (np.abs(roots.imag) <= REAL_TOL * np.maximum(1.0, np.abs(roots.real))) & (
+        np.abs(roots.real) <= 1.0 + INTERVAL_TOL
+    )
+    x = [-1.0, *np.clip(roots.real[accepted], -1.0, 1.0), 1.0]
+    return cheb.chebval(x, row).min()
+
+
 def _minima_stacks():
     rng = np.random.default_rng(77)
-    for k in range(2, 8):
+    for k in range(1, 9):
         stack = rng.uniform(-3.0, 3.0, (40, k))
-        stack[::5, -1] = 0.0  # derivative ends in an exact zero: scalar path
+        stack[::5, -1] = 0.0  # derivative ends in an exact zero
+        stack[1::10, -2:] = 0.0
         yield f"random-k{k}", stack
     lmm6 = reform(lmm6_scheme())
     rows = [lmm6.a, lmm6.b, BDF6_A.s, (0.75, 0.0, 0.0, 0.0, 0.0, 0.0)]
@@ -161,9 +176,9 @@ def _minima_stacks():
 @pytest.mark.parametrize("stack", [s for _, s in _minima_stacks()],
                          ids=[name for name, _ in _minima_stacks()])
 def test_global_minima_match_global_min(stack):
-    got = global_minima(stack)
-    want = np.array([global_min(ChebSeries(tuple(row))).min_value for row in stack])
-    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+    want = np.array([reference_min(row) for row in stack])
+    assert np.array_equal(global_minima(stack), want)
+    assert np.array_equal([global_min(ChebSeries(tuple(row))).min_value for row in stack], want)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -175,9 +190,9 @@ def test_global_minima_closed_form_is_bitwise_global_min(k):
         stack[5:10, 1] = 8.0 * stack[5:10, 2]  # vertex -d0/d1 = -2, outside
         stack[10:15, 1] = 4.0 * stack[10:15, 2]  # vertex at -1
         stack[15:20, 1] = -4.0 * stack[15:20, 2]  # vertex at 1
-    got = global_minima(stack)
-    want = np.array([global_min(ChebSeries(tuple(row))).min_value for row in stack])
-    assert np.array_equal(got, want)
+    want = np.array([reference_min(row) for row in stack])
+    assert np.array_equal(global_minima(stack), want)
+    assert np.array_equal([global_min(ChebSeries(tuple(row))).min_value for row in stack], want)
 
 
 def test_global_minima_known_values():

@@ -56,6 +56,13 @@ def test_certify_refusal_exit_code(tmp_path, capsys):
     assert payload["alpha_max"] < 0
 
 
+@pytest.mark.parametrize("w", ["2,0,1/4", "-1/4,15/8,-1/8"])
+def test_certify_exits_zero_when_b_touches_its_minimum_at_an_endpoint(tmp_path, w):
+    scheme = tmp_path / "scheme.json"
+    assert run(["scheme", "from-params", f"--w={w}", "--out", str(scheme)]) == 0
+    assert run(["certify", "--scheme", str(scheme), "--ell-f", "1", "--zeta", "1", "--eta", "1"]) == 0
+
+
 def test_certify_lmm6_report(tmp_path, lmm6_file):
     out = tmp_path / "report.json"
     code = run([

@@ -189,6 +189,22 @@ def test_stability_angle_requires_zero_stability():
         stability_angle(bdf7_like)
 
 
+# rho = -sigma: at z_I = -1 the characteristic polynomial vanishes identically
+RHO_IS_MINUS_SIGMA = SchemeCoefficients(k=1, A=(1, -1), B=(-1, 1), Bhat=(1,))
+
+
+def test_stability_angle_is_zero_when_the_polynomial_vanishes_at_minus_one():
+    assert stability_angle(RHO_IS_MINUS_SIGMA) == 0.0
+
+
+def test_region_slice_marks_a_vanishing_polynomial_unstable():
+    sl = region_slice(RHO_IS_MINUS_SIGMA, "implicit", window=(-2.0, 0.0, -1.0, 1.0), resolution=3)
+    assert sl.re_axis[1] == -1.0 and sl.im_axis[1] == 0.0
+    expected = np.ones((3, 3), dtype=bool)
+    expected[1, 1] = False
+    assert np.array_equal(sl.mask, expected)
+
+
 def test_region_slice_rejects_bad_input():
     with pytest.raises(ValueError):
         region_slice(lmm6_scheme(), "sideways")

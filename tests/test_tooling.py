@@ -1,5 +1,6 @@
 """The benchmark's span tracer against the current program."""
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -7,7 +8,9 @@ from pathlib import Path
 import imexlmm
 from imexlmm import barrier, certify, chebpoly, models, pde, schemes, stability
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+SRC = ROOT / "src" / "imexlmm"
 
 
 def _load_tracing(monkeypatch):
@@ -38,3 +41,24 @@ def test_module_exports_resolve():
     for module in (barrier, certify, chebpoly, models, pde, schemes, stability):
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ names {missing}"
+
+
+def test_module_constants_are_read():
+    # a module-level constant whose last reader is deleted fails here; a name
+    # exported in __all__ counts as read
+    read, assigned = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+            if "__all__" in names:
+                read.update(ast.literal_eval(node.value))
+            assigned += [(path.name, name) for name in names if name.lstrip("_").isupper()]
+    unread = [f"{module}:{name}" for module, name in assigned if name not in read]
+    assert not unread, f"constants never read: {unread}"
