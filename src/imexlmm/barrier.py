@@ -365,7 +365,6 @@ def certificate_multipliers() -> tuple:
 class FarkasReport:
     """Verified infeasibility certificate for k = 7."""
 
-    system: FarkasSystem
     lam: tuple
     qt_lambda: QuadExt
 
@@ -411,4 +410,4 @@ def verify_farkas_certificate() -> FarkasReport:
     (qtl,) = exactalg.matvec([system.q], lam)
     if not (-qtl).is_positive():
         raise CertificateInvalidError(f"q^T lambda = {qtl} is not negative")
-    return FarkasReport(system=system, lam=lam, qt_lambda=qtl)
+    return FarkasReport(lam=lam, qt_lambda=qtl)

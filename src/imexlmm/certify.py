@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial.chebyshev import chebtrim, chebval
 
-from .chebpoly import ChebSeries, global_min
+from .chebpoly import ChebSeries, global_min, global_minima
 from .schemes import SchemeCoefficients, reform
 
 __all__ = [
@@ -69,10 +69,6 @@ class EnergyCertificate:
     p: np.ndarray
     U: np.ndarray
     G: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return len(self.p)
 
 
 def _as_series(values) -> ChebSeries:
@@ -223,14 +219,12 @@ def tau_max_bound(alpha: float, beta: float, chat1: float, constants: ModelConst
 class DissipationReport:
     """Outcome of certifying one scheme against one set of model constants."""
 
-    k: int
     alpha_max: float
     beta_max: float
     cert_a: EnergyCertificate | None
     cert_b: EnergyCertificate | None
     tau_max: float | None
     constants: ModelConstants
-    chat1: float
     refused: bool
     refusal_reason: str | None
 
@@ -281,8 +275,7 @@ def certify_scheme(
     if not 0.0 < gamma_fraction <= 1.0:
         raise ValueError("gamma_fraction must lie in (0, 1]")
     coeffs = reform(scheme)
-    alpha_max = gamma_max(coeffs.a)
-    beta_max = gamma_max(coeffs.b)
+    alpha_max, beta_max = map(float, global_minima(np.array([coeffs.a, coeffs.b], dtype=float)))
     chat1 = float(coeffs.chat[0]) if coeffs.chat else 0.0
 
     beta_ok = beta_max > 0.0 or (constants.eta == 1.0 and beta_max >= 0.0)
@@ -299,14 +292,12 @@ def certify_scheme(
         cert_b = _certificate(coeffs.b, beta)
         tau_max = tau_max_bound(alpha, beta, chat1, constants)
     return DissipationReport(
-        k=scheme.k,
         alpha_max=alpha_max,
         beta_max=beta_max,
         cert_a=cert_a,
         cert_b=cert_b,
         tau_max=tau_max,
         constants=constants,
-        chat1=chat1,
         refused=bool(bad),
         refusal_reason="; ".join(bad) or None,
     )

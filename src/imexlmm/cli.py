@@ -55,7 +55,11 @@ def _echo_config(args: argparse.Namespace):
 
 
 def _load_scheme(path: str) -> schemes.SchemeCoefficients:
-    return schemes.scheme_from_json(_out_path(path).read_text())
+    text = _out_path(path).read_text()
+    try:
+        return schemes.scheme_from_json(text)
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed scheme file {path}: {exc!r}") from exc
 
 
 def _write_text(path: str, text: str):
@@ -66,7 +70,10 @@ def _write_text(path: str, text: str):
 
 
 def _parse_fraction_list(text: str):
-    return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+    try:
+        return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+    except ZeroDivisionError as exc:
+        raise ValueError(f"bad fraction list {text!r}: {exc}") from exc
 
 
 def _parse_complex(text: str) -> complex:
@@ -378,12 +385,7 @@ def main(argv=None) -> int:
     _echo_config(args)
     try:
         return args.func(args)
-    except (
-        barrier.CertificateInvalidError,
-        pde.InvariantViolationError,
-        pde.IllPosedStepError,
-        ArithmeticError,
-    ) as exc:
+    except ArithmeticError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except (argparse.ArgumentTypeError, ValueError, OSError) as exc:

@@ -48,15 +48,15 @@ __all__ = [
 ]
 
 
-class InvariantViolationError(RuntimeError):
+class InvariantViolationError(ArithmeticError):
     """A structural invariant (zero mean, Hermitian symmetry, ...) failed."""
 
 
-class StarterFailureError(RuntimeError):
+class StarterFailureError(ArithmeticError):
     """Gauss collocation stages refused to contract down to tau/64."""
 
 
-class IllPosedStepError(RuntimeError):
+class IllPosedStepError(ArithmeticError):
     """The diagonal implicit solve has a (near-)zero pivot at some mode."""
 
 
@@ -617,10 +617,8 @@ def default_patches(lengths) -> tuple:
 @dataclass
 class PfcExperimentResult:
     trace: EnergyTrace
-    report: DissipationReport
     energy_offset: float       # additive constant vs the conventional energy
     max_abs: float
-    seed: int
 
 
 def pfc_experiment(
@@ -664,6 +662,4 @@ def pfc_experiment(
         model, grid, scheme, report, u0, tau, n_steps, on_state=on_state
     )
     offset = (1.0 + model.epsilon) ** 2 / 4.0 * grid.volume
-    return PfcExperimentResult(
-        trace=trace, report=report, energy_offset=offset, max_abs=max(trace.max_abs), seed=seed
-    )
+    return PfcExperimentResult(trace=trace, energy_offset=offset, max_abs=max(trace.max_abs))

@@ -76,64 +76,67 @@ class RootConditionResult:
     violations: tuple
 
 
+def _significant(coeffs: np.ndarray) -> np.ndarray:
+    """Mask of the coefficients above LEAD_TOL times their row's largest
+    modulus; leading entries outside it drop the row's degree."""
+    mags = np.abs(coeffs)
+    return mags > LEAD_TOL * mags.max(axis=1, keepdims=True)
+
+
+def _degrees(coeffs: np.ndarray) -> np.ndarray:
+    """Degree of each row (descending) once its leading near-zeros are
+    trimmed; -1 for an all-zero row."""
+    keep = _significant(coeffs)
+    return np.where(keep.any(axis=1), keep.shape[1] - 1 - np.argmax(keep, axis=1), -1)
+
+
+def _companion_roots(rows: np.ndarray):
+    """Roots of rows of one degree (descending, nonzero lead) from one
+    stacked ``eigvals`` of companion matrices, with the mask of roots
+    outside the closed disk and the mask of root pairs (i < j) on the
+    boundary that sit too close to be simple."""
+    d = rows.shape[1] - 1
+    comp = np.zeros((len(rows), d, d), dtype=complex)
+    comp[:, 1:, :-1] = np.eye(d - 1)
+    comp[:, 0, :] = -(rows[:, 1:] / rows[:, :1])
+    roots = np.linalg.eigvals(comp)
+    moduli = np.abs(roots)
+    boundary = moduli >= 1.0 - BOUNDARY_BAND
+    close = np.abs(roots[:, :, None] - roots[:, None, :]) < CLUSTER_RADIUS
+    pairs = boundary[:, :, None] & boundary[:, None, :] & ~np.tri(d, dtype=bool)
+    return roots, moduli > 1.0 + ROOT_TOL, pairs & close
+
+
 def root_condition(coeffs) -> RootConditionResult:
-    """Root condition for a complex-coefficient polynomial (descending).
+    """Root condition for a complex-coefficient polynomial (descending): the
+    one-row case of the companion routine.
 
     Leading near-zeros (relative LEAD_TOL) are trimmed: the degree degenerates
     continuously as the implicit weight grows; a degree-0 polynomial is
     vacuously stable.
     """
-    c = np.asarray(coeffs, dtype=complex)
-    mags = np.abs(c)
-    scale = mags.max()
-    if scale == 0.0:
+    c = np.asarray(coeffs, dtype=complex)[None]
+    d = int(_degrees(c)[0])
+    if d < 0:
         raise ValueError("zero polynomial has no root condition")
-    lead = int(np.argmax(mags > LEAD_TOL * scale))
-    c = c[lead:]
-    if len(c) <= 1:
+    if d == 0:
         return RootConditionResult(True, np.empty(0, dtype=complex), ())
-    roots = np.roots(c)
-    violations = []
-    moduli = np.abs(roots)
-    for r, m in zip(roots, moduli):
-        if m > 1.0 + ROOT_TOL:
-            violations.append(f"root {r:.6g} has modulus {m:.9g} > 1")
-    boundary = roots[moduli >= 1.0 - BOUNDARY_BAND]
-    for i in range(len(boundary)):
-        for j in range(i + 1, len(boundary)):
-            if abs(boundary[i] - boundary[j]) < CLUSTER_RADIUS:
-                violations.append(
-                    f"repeated boundary root near {boundary[i]:.6g}"
-                )
+    roots, outside, repeated = (a[0] for a in _companion_roots(c[:, -d - 1:]))
+    violations = [f"root {r:.6g} has modulus {abs(r):.9g} > 1" for r in roots[outside]]
+    violations += [f"repeated boundary root near {roots[i]:.6g}" for i in np.nonzero(repeated)[0]]
     return RootConditionResult(not violations, roots, tuple(violations))
 
 
-def _lead_ok(coeffs: np.ndarray) -> np.ndarray:
-    scale = np.max(np.abs(coeffs), axis=1)
-    return np.abs(coeffs[:, 0]) > LEAD_TOL * np.maximum(scale, 1e-300)
-
-
 def _eigen_stable(coeffs: np.ndarray) -> np.ndarray:
-    """Root condition per row (descending coefficients) from companion
-    eigenvalues; degenerate leading coefficients go through root_condition,
-    except all-zero rows, which have every xi as a root and are unstable."""
-    ok_lead = _lead_ok(coeffs)
-    stable = np.zeros(len(coeffs), dtype=bool)
-    if np.any(ok_lead):
-        d = coeffs.shape[1] - 1
-        monic = coeffs[ok_lead] / coeffs[ok_lead, :1]
-        comp = np.zeros((len(monic), d, d), dtype=complex)
-        comp[:, 1:, :-1] = np.eye(d - 1)
-        comp[:, 0, :] = -monic[:, 1:]
-        roots = np.linalg.eigvals(comp)
-        moduli = np.abs(roots)
-        boundary = moduli >= 1.0 - BOUNDARY_BAND
-        pairs = boundary[:, :, None] & boundary[:, None, :] & ~np.tri(d, dtype=bool)
-        close = np.abs(roots[:, :, None] - roots[:, None, :]) < CLUSTER_RADIUS
-        repeated = np.any(pairs & close, axis=(1, 2))
-        stable[ok_lead] = np.all(moduli <= 1.0 + ROOT_TOL, axis=1) & ~repeated
-    for idx in np.nonzero(~ok_lead & coeffs.any(axis=1))[0]:
-        stable[idx] = root_condition(coeffs[idx]).zero_stable
+    """Root condition per row (descending) from companion eigenvalues, one
+    stacked call per trimmed degree: a constant row is stable, an all-zero
+    row, which has every xi as a root, unstable."""
+    deg = _degrees(coeffs)
+    stable = deg == 0
+    for d in set(deg.tolist()) - {-1, 0}:
+        rows = deg == d
+        _, outside, repeated = _companion_roots(coeffs[rows, -d - 1:])
+        stable[rows] = ~outside.any(axis=1) & ~repeated.any(axis=(1, 2))
     return stable
 
 
@@ -168,7 +171,7 @@ def _rows_stable(coeffs: np.ndarray) -> np.ndarray:
     below, above = _schur_cohn(cols * (1.0 + ROOT_MARGIN) ** powers)
     stable = np.zeros_like(below)
     stable[below] = _schur_cohn(cols[:, below] * (1.0 - ROOT_MARGIN) ** powers)[0]
-    rest = ~(stable | above) | ~_lead_ok(coeffs)
+    rest = ~(stable | above) | ~_significant(coeffs)[:, 0]
     if rest.any():
         stable[rest] = _eigen_stable(coeffs[rest])
     return stable
@@ -193,8 +196,6 @@ def _points_stable(rho, sigma, sigma_hat, zi, ze):
 class RegionSlice:
     """Boolean stability mask over a rectangle of the scanned variable."""
 
-    plane: str
-    fixed_value: complex
     re_axis: np.ndarray
     im_axis: np.ndarray
     mask: np.ndarray  # shape (len(im_axis), len(re_axis))
@@ -234,13 +235,7 @@ def region_slice(
     else:
         zi, ze = np.full_like(pts, complex(fixed_value)), pts
     mask = _points_stable(rho, sigma, sigma_hat, zi, ze).reshape(pts.shape)
-    return RegionSlice(
-        plane=plane,
-        fixed_value=complex(fixed_value) if plane == "imex" else 0j,
-        re_axis=re_axis,
-        im_axis=im_axis,
-        mask=mask,
-    )
+    return RegionSlice(re_axis=re_axis, im_axis=im_axis, mask=mask)
 
 
 def stability_angle(s: SchemeCoefficients) -> float:
@@ -257,11 +252,12 @@ def stability_angle(s: SchemeCoefficients) -> float:
     root, projected onto the circle, is a locus point, so roots off the
     circle never undercut the minimum; points where rho or sigma vanish drop.
     """
-    rho, sigma, sigma_hat = char_polys(s).as_arrays()
-    if not root_condition(rho).zero_stable:
+    rho, sigma, _ = char_polys(s).as_arrays()
+    # rho + sigma is the characteristic polynomial at z_I = -1
+    rho_ok, sigma_ok, minus_one_ok = _eigen_stable(np.array([rho, sigma, rho + sigma]))
+    if not rho_ok:
         raise UndefinedAngleError("scheme is not zero-stable")
-    if not (root_condition(sigma).zero_stable
-            and _points_stable(rho, sigma, sigma_hat, -1.0, 0.0)[0]):
+    if not (sigma_ok and minus_one_ok):
         return 0.0
     scale = lcm(*(c.denominator for c in s.A + s.B))  # rho = A, sigma = B
     ri, si = (np.array([int(c * scale) for c in p], dtype=object) for p in (s.A, s.B))

@@ -280,7 +280,7 @@ def test_certificates_satisfy_row_sums():
     report = certify_scheme(lmm6_scheme(), AC_CONSTANTS)
     coeffs = reform(lmm6_scheme())
     for cert, vec in ((report.cert_a, coeffs.a), (report.cert_b, coeffs.b)):
-        k = cert.k
+        k = len(cert.p)
         for m in range(k):
             diag = sum(cert.U[i, i + m] for i in range(k - m))
             assert diag == pytest.approx(float(vec[m]), abs=1e-9)

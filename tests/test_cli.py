@@ -172,13 +172,23 @@ def test_determinism_byte_identical(tmp_path, lmm6_file):
          "--tau", "0.01", "--T", "0.02", "--trace", "{out}"],
         ["simulate", "--model", "pfc", "--scheme", "{lmm6}", "--grid", "16",
          "--tau", "0.01", "--T", "0.02", "--trace", "{out}"],
+        ["stability", "angle", "--scheme", "{empty}"],
+        ["stability", "angle", "--scheme", "{a_int}"],
+        ["stability", "angle", "--scheme", "{a_div0}"],
+        ["scheme", "from-params", "--w", "1/0"],
     ],
     ids=["unknown-flag", "bdf-k9", "negative-ell-f", "missing-scheme",
          "ac-tau-0", "pfc-tau-0", "snapshots-every-0",
-         "search-budget-0", "search-kappa-0", "ac-T-short", "pfc-T-short"],
+         "search-budget-0", "search-kappa-0", "ac-T-short", "pfc-T-short",
+         "scheme-empty", "scheme-a-int", "scheme-a-div0", "params-div0"],
 )
 def test_usage_error_exit_code(argv, tmp_path, lmm6_file, capsys):
     paths = {"lmm6": lmm6_file, "missing": tmp_path / "missing.json", "out": tmp_path / "out.csv"}
+    table = json.loads(lmm6_file.read_text())
+    for name, payload in (("empty", {}), ("a_int", {**table, "A": 5}),
+                          ("a_div0", {**table, "A": ["1/0", "-1"]})):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
     argv = [token.format(**paths) for token in argv]
     try:
         code = run(argv)
@@ -206,6 +216,18 @@ def test_non_finite_run_exit_code(argv, tmp_path, lmm6_file, capsys):
         code = run([token.format(**paths) for token in argv])
     assert code == 3
     assert "after step" in capsys.readouterr().err
+
+
+def test_starter_failure_exit_code(tmp_path, lmm6_file, capsys):
+    # tau far beyond the starter's reach: an invariant failure, not a refusal
+    trace = tmp_path / "trace.csv"
+    code = run([
+        "simulate", "--model", "ac", "--scheme", str(lmm6_file), "--grid", "16",
+        "--domain", "16", "--tau", "1000", "--T", "10000", "--trace", str(trace),
+    ])
+    assert code == 3
+    assert "stage iteration" in capsys.readouterr().err
+    assert not trace.exists()
 
 
 @pytest.mark.parametrize("model", ["pfc", "ac"])

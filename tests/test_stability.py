@@ -68,6 +68,8 @@ def test_root_condition_unstable_root():
 
 def test_root_condition_degree_zero():
     assert root_condition([3.0]).zero_stable
+    with pytest.raises(ValueError, match="zero polynomial"):
+        root_condition([0.0, 0.0])
 
 
 def test_region_point_checks():
@@ -255,21 +257,65 @@ def test_schur_cohn_matches_eigenvalue_path(name, kind):
     assert np.array_equal(mask, eigen)
 
 
+def reference_root_condition(row):
+    # the root condition as np.roots and a loop over root pairs decide it:
+    # leading near-zeros trimmed, every root within 1 + 1e-7, and no two
+    # roots of modulus >= 1 - 1e-7 closer than 1e-6; an all-zero row has
+    # every xi as a root
+    mags = np.abs(row)
+    if not mags.any():
+        return False
+    c = row[int(np.argmax(mags > 1e-14 * mags.max())):]
+    if len(c) <= 1:
+        return True
+    roots = np.roots(c)
+    boundary = roots[np.abs(roots) >= 1.0 - 1e-7]
+    repeated = any(abs(boundary[i] - boundary[j]) < 1e-6
+                   for i in range(len(boundary)) for j in range(i + 1, len(boundary)))
+    return bool(np.all(np.abs(roots) <= 1.0 + 1e-7)) and not repeated
+
+
+def _rows_near_the_circle(seed=5, n=700):
+    # degrees 1..7 padded to 8 coefficients with zero or near-zero leads;
+    # roots on, just off and away from the unit circle, some near-double
+    rng = np.random.default_rng(seed)
+    moduli = [1.0, 1 + 1e-8, 1 - 1e-8, 1 - 5e-8, 1 + 2e-7, 1 - 2e-7, 1 + 3e-7, 1 - 3e-7, 0.5, 1.5]
+    rows = [np.zeros(8, dtype=complex), np.eye(8, dtype=complex)[7] * 2.0]
+    for _ in range(n):
+        d = int(rng.integers(1, 8))
+        roots = rng.choice(moduli, d) * np.exp(1j * rng.uniform(-np.pi, np.pi, d))
+        if d >= 2 and rng.random() < 0.3:
+            gap = rng.choice([0.0, 1e-7, 5e-7, 2e-6])
+            roots[1] = roots[0] + gap * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+        c = np.poly(roots) * rng.uniform(0.1, 10.0)
+        for lead in (0.0, 1e-13, 1e-15, 1e-16):
+            row = np.zeros(8, dtype=complex)
+            row[8 - len(c):] = c
+            if len(c) < 8:
+                row[7 - len(c)] = lead * np.abs(c).max()
+            rows.append(row)
+    return np.array(rows)
+
+
 def test_eigenvalue_path_matches_root_condition():
-    # the batched simplicity check against root_condition's loop over
-    # pairs, on points whose roots sit on or near the unit circle
-    # (xi - 1)^2, roots +-1, roots 0 and 1/2, (xi - 1/2)^2
+    # every companion-eigenvalue path against the reference, verdict for
+    # verdict, on points whose roots sit on or near the unit circle:
+    # (xi - 1)^2, roots +-1, roots 0 and 1/2, (xi - 1/2)^2, then slices
+    # close to the origin and a seeded stack with degenerate leads
     batches = [np.array([[1.0, -2.0, 1.0], [1.0, 0.0, -1.0],
-                         [1.0, -0.5, 0.0], [1.0, -1.0, 0.25]])]
+                         [1.0, -0.5, 0.0], [1.0, -1.0, 0.25]], dtype=complex)]
     y = np.linspace(-2.0, 2.0, 41)
     for scheme in [bdf_coefficients(k) for k in range(1, 7)] + [lmm6_scheme()]:
         rho, sigma, sigma_hat = char_polys(scheme).as_arrays()
         batches.append(rho[None, :] - 1j * y[:, None] * sigma[None, :])
         batches.append(rho[None, :] - (1e-9 * y[:, None] + 1e-9j) * sigma_hat[None, :])
+    batches.append(_rows_near_the_circle())
     outcomes = set()
     for batch in batches:
-        expected = [root_condition(r).zero_stable for r in batch]
+        expected = [reference_root_condition(r) for r in batch]
         assert stability._eigen_stable(batch).tolist() == expected
+        assert stability._rows_stable(batch).tolist() == expected
+        assert [r.any() and root_condition(r).zero_stable for r in batch] == expected
         outcomes.update(expected)
     assert outcomes == {True, False}
 
@@ -300,10 +346,10 @@ def test_rows_near_the_circle_go_to_eigenvalues(monkeypatch):
 def test_degenerate_lead_is_decided_by_one_threshold(lead, expected):
     # lead * xi^2 + xi - 1/2: a lead above LEAD_TOL keeps the root near
     # -1/lead (unstable), one below it is trimmed to the root 1/2 (stable);
-    # the batched paths call the lead degenerate exactly where
-    # root_condition drops the degree
+    # one rule trims the degree for every path
     row = np.array([[lead, 1.0, -0.5]], dtype=complex)
-    assert stability._lead_ok(row)[0] == (len(root_condition(row[0]).roots) == 2)
+    assert stability._degrees(row).tolist() == [2 if lead > stability.LEAD_TOL else 1]
+    assert len(root_condition(row[0]).roots) == stability._degrees(row)[0]
     assert stability._rows_stable(row).tolist() == [expected]
     assert stability._eigen_stable(row).tolist() == [expected]
     assert root_condition(row[0]).zero_stable == expected

@@ -62,3 +62,25 @@ def test_module_constants_are_read():
             assigned += [(path.name, name) for name in names if name.lstrip("_").isupper()]
     unread = [f"{module}:{name}" for module, name in assigned if name not in read]
     assert not unread, f"constants never read: {unread}"
+
+
+def test_dataclass_fields_are_read():
+    # a result field that nothing reads as an attribute fails here; by name,
+    # over src/, tests/ and perfbench/
+    read = set()
+    for path in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        read.update(node.attr for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Attribute))
+    fields = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            decorators = [d.func if isinstance(d, ast.Call) else d
+                          for d in getattr(node, "decorator_list", [])]
+            if isinstance(node, ast.ClassDef) and any(
+                getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators
+            ):
+                fields += [f"{path.name}:{node.name}.{item.target.id}" for item in node.body
+                           if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    assert fields
+    unread = [field for field in fields if field.rsplit(".", 1)[1] not in read]
+    assert not unread, f"dataclass fields never read: {unread}"
