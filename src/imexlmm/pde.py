@@ -96,12 +96,12 @@ class History:
 
     Slot (head - back) % k holds u^{n-back}: the transforms of its deviation
     w from a fixed background mean (zero for models that do not conserve
-    mass), of f(u) and, when a source is given, of g(t) as the source returns
-    it; the same slot of a (k, *half) array beside the ring holds w - w_prev
-    (unused in the oldest slot, whose predecessor has left the window).
-    ``flat`` and ``delta_flat`` view both as float rows by slot.  Getters
-    return views, which ``push`` overwrites k states later; ``state(back)``
-    inverts on demand and returns the full field.
+    mass) and of f(u), or with a source of f(u) - f(u*) and of the linear
+    part of g (see ``discrete_source``); the same slot of a (k, *half) array
+    beside the ring holds w - w_prev (unused in the oldest slot, whose
+    predecessor has left the window).  ``flat`` and ``delta_flat`` view both
+    as float rows by slot.  Getters return views, which ``push`` overwrites k
+    states later; ``state(back)`` inverts on demand and returns the full field.
     """
 
     def __init__(self, model, grid, scheme, tau, states, t0=0.0, source=None):
@@ -111,6 +111,7 @@ class History:
         self.k = k
         self.tau = float(tau)
         self.grid = grid
+        self.f = model.f
         self.source = source
         self.background = _background(model, states[0])
         self.t0 = float(t0)
@@ -122,7 +123,7 @@ class History:
         self.n = -1             # index of the newest state
         for u in states:
             w = u - self.background
-            self.push(grid.fft(w), grid.fft(model.f(w + self.background)))
+            self.push(grid.fft(w), w + self.background)
 
     def slot(self, back: int = 0) -> np.ndarray:
         """The transform rows of u^{n-back}, back = 0..k-1."""
@@ -143,16 +144,18 @@ class History:
         stacked in that order."""
         return self._delta[(self.head - np.arange(self.k - 1)) % self.k]
 
-    def push(self, w_hat, f_hat):
-        """Store the next state in the oldest state's slot."""
+    def push(self, w_hat, u):
+        """Store the next state (w's transform, full field u) in the oldest slot."""
         self.n += 1
         self.head = self.n % self.k     # slot of the newest state
         slot = self._ring[self.head]
         np.subtract(w_hat, self.slot(1)[_W], out=self._delta[self.head])
         slot[_W] = w_hat
-        slot[_F] = f_hat
+        f = self.f(u)
         if self.source is not None:
-            slot[_G] = self.source(self.time())
+            f_star, slot[_G] = self.source(self.time())
+            f = f - f_star
+        slot[_F] = self.grid.fft(f)
 
 
 def _flat_symbols(symbols) -> np.ndarray:
@@ -210,14 +213,15 @@ class SpectralFlow:
         """Advance one multistep update; returns the new full field.
 
         The new transform is the solved right-hand side itself, so a step
-        costs one inverse transform (for f(u)) and one forward one (of f(u)).
+        costs one inverse transform (for f(u)) and one forward one (of f(u),
+        less f(u*) with a source).
         """
         coef = self._slot_coef[history.source is not None][history.head]
         rhs = np.einsum("rm,rm->m", self.symbols[: len(coef)], coef @ history.flat)
         rhs = rhs.view(complex).reshape(self.grid.k2.shape)
         u = self.grid.ifft(rhs)
         u += history.background
-        history.push(rhs, self.grid.fft(self.model.f(u)))
+        history.push(rhs, u)
         return u
 
 
@@ -245,13 +249,20 @@ def _gauss_substep(model, grid, mhat, w, background, t, h, solve, source, guess=
     symbol on grid.k2.  Iterates from ``guess``, or from (w, w, w) when none is
     given; returns the new w and the stages predicted for the next substep."""
     w_hat = grid.fft(w).view(np.float64).reshape(-1)
-    g_hats = None if source is None else np.stack([source(t + c * h) for c in GAUSS_C])
+    if source is not None:   # stage-time parts, subtracted before the sweep's transform
+        f_stars, g_hats = np.empty((3,) + w.shape), np.empty((3,) + mhat.shape, dtype=complex)
+        for i, c in enumerate(GAUSS_C):
+            f_stars[i], g_hats[i] = source(t + c * h)
     stages = np.stack([w, w, w]) if guess is None else guess
     residual_prev = np.inf
     growth = 0
     for _ in range(MAX_STAGE_ITERS):
-        f_hats = mhat * grid.fft(model.f(stages + background))
-        if g_hats is not None:
+        f = model.f(stages + background)
+        if source is not None:
+            f -= f_stars
+        f_hats = mhat * grid.fft(f)
+        del f       # not held through the stage solve
+        if source is not None:
             f_hats += g_hats
         stage_hats = solve(w_hat + (h * GAUSS_A) @ f_hats.view(np.float64).reshape(3, -1))
         # unchecked inverse for iterates: transient non-normal growth of the
@@ -283,7 +294,7 @@ def gauss_rk6_start(
 ) -> list:
     """Starting values u^0 .. u^{k-1} by 3-stage Gauss collocation.
 
-    ``source(t)``, when given, returns the half-spectrum transform of g(t).
+    ``source(t)``, when given, returns g(t) split as ``discrete_source`` does.
     Stage systems are solved by fixed-point iteration to max-norm residual
     1e-14; if an iteration refuses to contract, the substep is halved, down
     to tau/64 before giving up.
@@ -453,7 +464,7 @@ def simulate(
 
     The modified energy is recorded from step k-1 on (earlier entries are
     NaN) and only when a non-refused certificate is supplied.  ``source(t)``,
-    when given, returns the half-spectrum transform of g(t).  Returns
+    when given, returns g(t) split as ``discrete_source`` does.  Returns
     (trace, history); raises InvariantViolationError at the first state
     whose energy is not finite or whose max|u| reaches the model's
     truncation radius, where the certificate no longer holds.  A negative
@@ -506,35 +517,39 @@ def simulate(
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
-    """Exact solution and time derivative sampled on the grid."""
+    """Exact solution u*(t) = amplitude(t) mode on the grid, rate = amplitude'."""
 
-    u: Callable[[float], np.ndarray]
-    u_t: Callable[[float], np.ndarray]
+    mode: np.ndarray
+    amplitude: Callable[[float], float]
+    rate: Callable[[float], float]
+
+    def u(self, t: float) -> np.ndarray:
+        return self.amplitude(t) * self.mode
+
+    def u_t(self, t: float) -> np.ndarray:
+        return self.rate(t) * self.mode
 
 
 def discrete_source(model: ModelSpec, grid: Grid, solution: ManufacturedSolution):
-    """Half-spectrum transform of the source g(t) = u_t - M(L u + f(u)) under
-    the discrete operators, so the sampled exact solution solves the
-    semi-discrete system exactly."""
-    mhat = model.m_symbol(grid.k2)
-    lhat = model.l_symbol(grid.k2)
+    """Source g = u*_t - M(L u* + f(u*)) under the discrete operators, so the
+    sampled exact solution solves the semi-discrete system exactly.  Split so
+    that no time costs a transform: ``source(t)`` returns the field f(u*(t))
+    and the half spectrum of u*_t - M L u*, which the update adds to
+    M (f(u) - f(u*))^, subtracting before the transform it takes anyway."""
+    mode_hat = grid.fft(solution.mode)
+    ml_mode_hat = model.m_symbol(grid.k2) * model.l_symbol(grid.k2) * mode_hat
 
-    def g_hat(t: float) -> np.ndarray:
-        u = solution.u(t)
-        rhs_hat = mhat * (lhat * grid.fft(u) + grid.fft(model.f(u)))
-        return grid.fft(solution.u_t(t)) - rhs_hat
+    def source(t: float) -> tuple:
+        a = solution.amplitude(t)
+        return model.f(a * solution.mode), solution.rate(t) * mode_hat - a * ml_mode_hat
 
-    return g_hat
+    return source
 
 
 def trig_mode_solution(grid: Grid) -> ManufacturedSolution:
     """cos(t) sin(x) sin(y): one Fourier mode per axis, spatially exact."""
     coords = grid.coordinates()
-    mode = np.sin(coords[0]) * np.sin(coords[1])
-    return ManufacturedSolution(
-        u=lambda t: np.cos(t) * mode,
-        u_t=lambda t: -np.sin(t) * mode,
-    )
+    return ManufacturedSolution(np.sin(coords[0]) * np.sin(coords[1]), np.cos, lambda t: -np.sin(t))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from itertools import accumulate
 from math import lcm
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .schemes import SchemeCoefficients
 
@@ -245,12 +246,14 @@ def stability_angle(s: SchemeCoefficients) -> float:
     It is 0 unless sigma passes the root condition (the r -> infinity limit)
     and z_I = -1 is stable, else the least pi - |arg z| over the boundary
     locus z = rho(xi) / sigma(xi), |xi| = 1 (Hairer & Wanner, Solving ODEs
-    II, V.2).  That least value sits at a stationary point of arg z, a root
-    of Re(xi (rho' sigma - rho sigma') conj(rho sigma)), or on the real axis,
-    a root of Im(rho conj(sigma)); both are exact integer polynomials, whose
-    roots at xi = 1 (z -> 0, limit 90 degrees) are divided out exactly.  Each
-    root, projected onto the circle, is a locus point, so roots off the
-    circle never undercut the minimum; points where rho or sigma vanish drop.
+    II, V.2) of rho and sigma divided by their exact gcd, whose unit-circle
+    roots would leave gaps in the locus.  That least value sits at a
+    stationary point of arg z, a root of Re(xi (rho' sigma - rho sigma')
+    conj(rho sigma)), or on the real axis, a root of Im(rho conj(sigma));
+    both are exact integer polynomials, whose roots at xi = 1 (z -> 0, limit
+    90 degrees) are divided out exactly.  Each root, projected onto the
+    circle, is a locus point, so roots off the circle never undercut the
+    minimum; points where rho or sigma vanish drop.
     """
     rho, sigma, _ = char_polys(s).as_arrays()
     # rho + sigma is the characteristic polynomial at z_I = -1
@@ -259,8 +262,15 @@ def stability_angle(s: SchemeCoefficients) -> float:
         raise UndefinedAngleError("scheme is not zero-stable")
     if not (sigma_ok and minus_one_ok):
         return 0.0
-    scale = lcm(*(c.denominator for c in s.A + s.B))  # rho = A, sigma = B
-    ri, si = (np.array([int(c * scale) for c in p], dtype=object) for p in (s.A, s.B))
+    g, q = exact = [np.array(p[::-1], dtype=object) for p in (s.A, s.B)]  # ascending, exact
+    while any(q):   # Euclid: g ends as the gcd of rho and sigma
+        g, q = q, P.polydiv(g, q)[1]
+    rho_x, sigma_x = (list(P.polydiv(p, g / g[-1])[0][::-1]) for p in exact)
+    if len(rho_x) == 1:     # rho = c sigma: the locus is the one point z = c
+        return 90.0 if rho_x[0] / sigma_x[0] > 0 else 0.0
+    rho, sigma = (np.array([float(c) for c in x]) for x in (rho_x, sigma_x))
+    scale = lcm(*(c.denominator for c in rho_x + sigma_x))
+    ri, si = (np.array([int(c * scale) for c in x], dtype=object) for x in (rho_x, sigma_x))
     wronskian = np.convolve(np.polyder(ri), si) - np.convolve(ri, np.polyder(si))
     y = np.convolve(np.convolve(np.append(wronskian, 0), ri[::-1]), si[::-1])
     crossing = np.convolve(ri, si[::-1]) - np.convolve(si, ri[::-1])

@@ -526,8 +526,8 @@ def test_history_ring_matches_plain_transforms():
     flow = SpectralFlow(model, grid, scheme, tau=0.01)
     mode = np.sin(grid.coordinates()[0])
 
-    def source(t):
-        return grid.fft(np.cos(t) * mode)
+    def source(t):      # f(u*) as a field, the linear part as a half spectrum
+        return np.cos(t) * mode, grid.fft(np.sin(t) * mode)
 
     rng = np.random.default_rng(11)
     fields = [0.285 + 0.1 * rng.uniform(-1, 1, grid.shape) for _ in range(3 * k + 1)]
@@ -537,18 +537,20 @@ def test_history_ring_matches_plain_transforms():
     )
     background = float(np.mean(fields[0]))
     w_hats = [grid.fft(u - background) for u in fields]
-    # f of the deviation plus background, as History forms the first k
-    f_hats = [grid.fft(model.f(u - background + background)) for u in fields]
+    # f of the deviation plus background, as History forms the first k, and
+    # of the pushed field after them
+    f_args = [u - background + background for u in fields[:k]] + fields[k:]
     for n in range(k - 1, len(fields)):
         if n >= k:
-            history.push(w_hats[n], f_hats[n])
+            history.push(w_hats[n], fields[n])
             tracker.push(history)
         for i in range(k):
             t = 0.5 + (n - i) * 0.01
+            f_star, g_lin = source(history.time(i))
             assert history.time(i) == pytest.approx(t, abs=1e-15)
             assert np.array_equal(history.deviation_hat(i), w_hats[n - i])
-            assert np.array_equal(history.slot(i)[pde._F], f_hats[n - i])
-            assert np.array_equal(history.slot(i)[pde._G], source(history.time(i)))
+            assert np.array_equal(history.slot(i)[pde._F], grid.fft(model.f(f_args[n - i]) - f_star))
+            assert np.array_equal(history.slot(i)[pde._G], g_lin)
             assert np.allclose(history.state(i), fields[n - i], rtol=0, atol=1e-14)
         deltas = history.delta_hats()
         expected = [w_hats[n - i] - w_hats[n - i - 1] for i in range(k - 1)]
@@ -569,7 +571,7 @@ def test_fused_update_matches_per_lag_sum(with_source):
     k, tau = scheme.k, 0.01
     flow = SpectralFlow(model, grid, scheme, tau)
     mode = np.sin(grid.coordinates()[0])
-    source = (lambda t: grid.fft(np.cos(t) * mode)) if with_source else None
+    source = (lambda t: (np.cos(t) * mode, grid.fft(np.sin(t) * mode))) if with_source else None
     rng = np.random.default_rng(13)
     fields = [0.285 + 0.1 * rng.uniform(-1, 1, grid.shape) for _ in range(k)]
     history = flow.history(fields, source=source)
@@ -612,10 +614,8 @@ def test_loop_energy_matches_energy_of_the_full_field(model, certified):
         assert e == pytest.approx(energy(model, grid, u), rel=1e-13)
 
 
-def test_multistep_update_costs_three_transforms(monkeypatch):
-    # per update: one inverse transform for f(u) with its residue check of
-    # the self-conjugate planes, one forward transform of f(u); the energy
-    # and the Gram tracker reuse the transforms in hand
+def _count_update_transforms(monkeypatch):
+    """Counts of multistep updates and of the FFTs taken inside them."""
     counts = {"steps": 0, "ffts": 0, "inside": False}
 
     def counted(fn):
@@ -634,11 +634,22 @@ def test_multistep_update_costs_three_transforms(monkeypatch):
                 counts["inside"] = False
         return wrapper
 
-    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
-                 "rfft", "rfft2", "rfftn", "irfft", "irfft2", "irfftn"):
+    for name in FFT_NAMES:
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     monkeypatch.setattr(pde.SpectralFlow, "step", spanned(pde.SpectralFlow.step, True))
     monkeypatch.setattr(pde, "energy", spanned(pde.energy, False))
+    return counts
+
+
+FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+             "rfft", "rfft2", "rfftn", "irfft", "irfft2", "irfftn")
+
+
+def test_multistep_update_costs_three_transforms(monkeypatch):
+    # per update: one inverse transform for f(u) with its residue check of
+    # the self-conjugate planes, one forward transform of f(u); the energy
+    # and the Gram tracker reuse the transforms in hand
+    counts = _count_update_transforms(monkeypatch)
     grid = Grid((32, 32), (32.0, 32.0))
     model = pfc(0.25)
     scheme = lmm6_scheme()
@@ -648,6 +659,81 @@ def test_multistep_update_costs_three_transforms(monkeypatch):
     assert np.isfinite(trace.modified_energy[-1])
     assert counts["steps"] == 12
     assert counts["ffts"] == 3 * 12
+
+
+def test_sourced_update_costs_three_transforms(monkeypatch):
+    # the manufactured source takes no transform per time: History subtracts
+    # f(u*) from f(u) before the forward transform it takes anyway
+    counts = _count_update_transforms(monkeypatch)
+    grid = small_grid(32)
+    convergence_study(allen_cahn(0.01), grid, lmm6_scheme(), trig_mode_solution(grid), [8, 10])
+    assert counts["steps"] == (8 - 5) + (10 - 5)
+    assert counts["ffts"] == 3 * counts["steps"]
+
+
+def test_sourced_gauss_sweep_costs_as_many_transforms_as_unsourced(monkeypatch):
+    # per substep one forward transform of w, per sweep one forward transform
+    # of f (less f(u*) with a source) and one inverse of the stages
+    grid = small_grid(32)
+    model = allen_cahn(0.01)
+    solution = trig_mode_solution(grid)
+    source = discrete_source(model, grid, solution)     # its set-up transform is not counted
+    counts = {"ffts": 0, "sweeps": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            counts["ffts"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def f(u):
+        counts["sweeps"] += u.ndim == 3     # the three stages, stacked
+        return model.f(u)
+
+    for name in FFT_NAMES:
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    tried = _record_substeps(monkeypatch)
+    per_sweep = []
+    for src in (None, source):
+        counts.update(ffts=0, sweeps=0)
+        tried.clear()
+        counted_model = dataclasses.replace(model, f=f)
+        gauss_rk6_start(counted_model, grid, solution.u(0.0), 1.0 / 25, k=6, source=src)
+        assert tried == [1.0 / 25] and counts["sweeps"] > 0
+        per_sweep.append((counts["ffts"] - 5) / counts["sweeps"])
+    assert per_sweep == [2.0, 2.0]
+
+
+@pytest.mark.parametrize("model", [allen_cahn(0.01), pfc(0.01)], ids=lambda m: m.name)
+def test_sourced_update_matches_full_spectrum_oracle(model):
+    # one six-step update from exact states at t0 = 1 against the update
+    # with the source transformed whole, g^ = fft(u*_t) - m (l fft(u*) +
+    # fft(f(u*))), all transforms full complex ones
+    grid = small_grid(32)
+    scheme = lmm6_scheme()
+    solution = trig_mode_solution(grid)
+    tau, t0 = 0.05, 1.0
+    times = [t0 + j * tau for j in range(scheme.k)]
+    states = [solution.u(t) for t in times]
+    flow = SpectralFlow(model, grid, scheme, tau)
+    history = flow.history(states, t0=t0, source=discrete_source(model, grid, solution))
+    got = flow.step(history)
+
+    freq = [2 * np.pi * np.fft.fftfreq(n, d=l / n) for n, l in zip(grid.shape, grid.lengths)]
+    k2 = freq[0][:, None] ** 2 + freq[1][None, :] ** 2
+    m, l = model.m_symbol(k2), model.l_symbol(k2)
+    A, B, Bhat = (np.array([float(x) for x in c]) for c in (scheme.A, scheme.B, scheme.Bhat))
+    background = float(np.mean(states[0])) if model.mass_conserving else 0.0
+    rhs = np.zeros(grid.shape, dtype=complex)
+    for i in range(1, scheme.k + 1):
+        u, t = states[scheme.k - i], times[scheme.k - i]
+        w_hat = np.fft.fftn(u - background)
+        f_hat = np.fft.fftn(model.f(u))
+        g_hat = np.fft.fftn(solution.u_t(t)) - m * (l * np.fft.fftn(u) + f_hat)
+        rhs += -A[i] * w_hat + tau * m * (B[i] * l * w_hat + Bhat[i - 1] * f_hat)
+        rhs += tau * Bhat[i - 1] * g_hat
+    want = np.fft.ifftn(rhs / (A[0] - tau * m * B[0] * l)).real + background
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_non_finite_run_raises_with_step():
@@ -687,9 +773,7 @@ def test_convergence_stationary_solution_hits_rounding():
     mode = np.sin(coords[0]) * np.sin(coords[1])
     from imexlmm.pde import ManufacturedSolution
 
-    stationary = ManufacturedSolution(
-        u=lambda t: mode, u_t=lambda t: np.zeros_like(mode)
-    )
+    stationary = ManufacturedSolution(mode, amplitude=lambda t: 1.0, rate=lambda t: 0.0)
     rows = convergence_study(model, grid, lmm6_scheme(), stationary, [10, 20])
     for row in rows:
         assert row.error_inf < 1e-11

@@ -199,6 +199,26 @@ def test_stability_angle_is_zero_when_the_polynomial_vanishes_at_minus_one():
     assert stability_angle(RHO_IS_MINUS_SIGMA) == 0.0
 
 
+@pytest.mark.parametrize(
+    "A, B, Bhat, unstable, angle",
+    [
+        # rho and sigma share xi + 1; the reduced locus crosses the negative
+        # axis at z = -2/3, where xi = -1 is a double root; just right of it
+        # the other root leaves the disk
+        ((F(1, 2), F(0), F(-1, 2)), (F(-1), F(-1, 2), F(1, 2)), (F(1), F(0)), -0.6, 0.0),
+        # rho = c sigma: the characteristic polynomial vanishes at z = c only
+        ((F(1, 2), F(1, 2)), (F(-2), F(-2)), (F(1),), -0.25, 0.0),
+        ((F(-1, 3), F(-1, 3)), (F(-1), F(-1)), (F(1),), 1 / 3, 90.0),
+    ],
+    ids=["shared-root", "proportional-negative", "proportional-positive"],
+)
+def test_stability_angle_divides_out_the_common_factor(A, B, Bhat, unstable, angle):
+    s = SchemeCoefficients(len(A) - 1, A, B, Bhat)
+    assert stability_angle(s) == angle
+    rho, sigma, sigma_hat = char_polys(s).as_arrays()
+    assert not stability._points_stable(rho, sigma, sigma_hat, unstable, 0.0)[0]
+
+
 def test_region_slice_marks_a_vanishing_polynomial_unstable():
     sl = region_slice(RHO_IS_MINUS_SIGMA, "implicit", window=(-2.0, 0.0, -1.0, 1.0), resolution=3)
     assert sl.re_axis[1] == -1.0 and sl.im_axis[1] == 0.0
