@@ -549,7 +549,8 @@ def test_history_ring_matches_plain_transforms():
             f_star, g_lin = source(history.time(i))
             assert history.time(i) == pytest.approx(t, abs=1e-15)
             assert np.array_equal(history.deviation_hat(i), w_hats[n - i])
-            assert np.array_equal(history.slot(i)[pde._F], grid.fft(model.f(f_args[n - i]) - f_star))
+            f_hat = grid.fft(model.f(f_args[n - i]) - f_star)
+            assert np.array_equal(history.slot(i)[pde._F], f_hat)
             assert np.array_equal(history.slot(i)[pde._G], g_lin)
             assert np.allclose(history.state(i), fields[n - i], rtol=0, atol=1e-14)
         deltas = history.delta_hats()
