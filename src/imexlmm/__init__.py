@@ -30,7 +30,6 @@ from .chebpoly import ChebSeries, MinResult, derivative_coeffs, evaluate, global
 from .models import Grid, ModelSpec, allen_cahn, cahn_hilliard, pfc
 from .pde import (
     EnergyTrace,
-    History,
     ManufacturedSolution,
     SpectralFlow,
     convergence_study,

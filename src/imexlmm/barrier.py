@@ -191,6 +191,7 @@ def evaluate_feasibility(w) -> FeasibilityResult:
 
 
 SEARCH_STARTS = 20  # pattern-search starting points per call
+SEARCH_GAIN = 1e-12  # a move is taken only if it raises the score by this share of |score|
 
 
 @dataclass(frozen=True)
@@ -213,11 +214,13 @@ def search_feasible(
     Maximizes min(min_a, min_b/kappa) by coordinate pattern search with
     step halving from SEARCH_STARTS starts: the known six-step point (when
     k = 6), the BDF point w = 0, and seeded random vectors.  A sweep takes
-    each of the moves (0, +), (0, -), (1, +), ... that improves the score;
-    its untried moves are scored in float in one batch, re-batched after each
-    taken move, and count as evaluations only up to that move.  The returned
-    vector is re-scored exactly by ``evaluate_feasibility``.  Deterministic
-    for a fixed seed; returns the best candidate found even when infeasible.
+    each of the moves (0, +), (0, -), (1, +), ... that raises the score by
+    more than SEARCH_GAIN of its modulus, so plateau ties do not turn on the
+    last bit of a float sum; its untried moves are scored in float in one
+    batch, re-batched after each taken move, and count as evaluations only
+    up to that move.  The returned vector is re-scored exactly by
+    ``evaluate_feasibility``.  Deterministic for a fixed seed; returns the
+    best candidate found even when infeasible.
     """
     if k < 2:
         raise ValueError("search needs k >= 2")
@@ -261,9 +264,10 @@ def search_feasible(
                 for trial, (i, sign) in zip(trials, moves[tried:]):
                     trial[i] += sign * step * scales[i]
                 found = scores(trials)
-                taken = next((j + 1 for j, s in enumerate(found) if s > score), len(trials))
+                gain = score + SEARCH_GAIN * abs(score)
+                taken = next((j + 1 for j, s in enumerate(found) if s > gain), len(trials))
                 evals, tried = evals + taken, tried + taken
-                if found[taken - 1] > score:
+                if found[taken - 1] > gain:
                     current, score, improved = trials[taken - 1], found[taken - 1], True
             if score > best_score:
                 best_w, best_score = list(current), score

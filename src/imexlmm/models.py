@@ -139,12 +139,6 @@ class Grid:
     def norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(self.inner(u, u)))
 
-    def spectral_inner(self, u_hat, v_hat, weight=None) -> float:
-        """(u, W v) for a real diagonal symbol W, from half spectra."""
-        w = self.multiplicity if weight is None else weight * self.multiplicity
-        z = u_hat.real * v_hat.real + u_hat.imag * v_hat.imag
-        return self.cell_volume / self.npoints * float(np.sum(z * w))
-
 
 @dataclass(frozen=True)
 class ModelSpec:

@@ -6,6 +6,8 @@ physical space.  Starting values come from the 3-stage Gauss collocation
 method (order 6), whose stage system is solved by fixed-point iteration on
 the nonlinearity, the stiff linear part solved per mode from three real
 symbols and each iteration started from the previous substep's prediction.
+One ``SpectralFlow`` per run holds and advances the transforms of the last
+k states; a certified run's energy tracker keeps their differences beside it.
 
 For mass-conserving models (m(0) = 0) the integrator evolves the deviation
 from the initial mean: the zero mode of the deviation stays at rounding level
@@ -26,7 +28,6 @@ from .models import Grid, ModelSpec, pfc
 from .schemes import SchemeCoefficients, lmm6_scheme, reform
 
 __all__ = [
-    "History",
     "SpectralFlow",
     "EnergyTrace",
     "ManufacturedSolution",
@@ -88,38 +89,66 @@ def _background(model: ModelSpec, u0: np.ndarray) -> float:
     return float(np.mean(u0)) if model.mass_conserving else 0.0
 
 
-_W, _F, _G = range(3)   # the transform rows of a History slot
+_W, _F, _G = range(3)   # the transform rows of a ring slot
 
 
-class History:
-    """Ring of the half-spectrum transforms of the last k states.
+def _flat_symbols(symbols) -> np.ndarray:
+    """Stacked half-spectrum symbols over each mode's (re, im) float pair."""
+    return np.repeat(np.asarray(symbols), 2, axis=-1).reshape(len(symbols), -1)
+
+
+class SpectralFlow:
+    """One run's multistep updates for a (model, grid, scheme, tau) and the
+    ring of half-spectrum transforms of its last k states.
 
     Slot (head - back) % k holds u^{n-back}: the transforms of its deviation
     w from a fixed background mean (zero for models that do not conserve
     mass) and of f(u), or with a source of f(u) - f(u*) and of the linear
-    part of g (see ``discrete_source``); the same slot of a (k, *half) array
-    beside the ring holds w - w_prev (unused in the oldest slot, whose
-    predecessor has left the window).  ``flat`` and ``delta_flat`` view both
-    as float rows by slot.  Getters return views, which ``push`` overwrites k
-    states later; ``state(back)`` inverts on demand and returns the full field.
+    part of g (see ``discrete_source``); ``flat`` views the ring as float
+    rows by slot.  Getters return views, which ``push`` overwrites k states
+    later; ``state(back)`` inverts on demand and returns the full field.
+
+    Per mode the update is pivot * w^{n+1} = sum_i c_i w^{n+1-i}
+    + d_i f^{n+1-i} + tau Bhat_i g^{n+1-i}, with pivot = A_0 - tau m B_0 l
+    and the real per-lag symbols c_i = tau m l B_i - A_i, d_i = tau m Bhat_i,
+    so pivot * w^{n+1} = tau m l sum B_i w_i - sum A_i w_i + tau m sum Bhat_i f_i
+    (+ tau sum Bhat_i g_i).  Those 3 (4) slot sums are one real matmul of the
+    ring's float view by the current head's coefficient matrix; the per-mode
+    symbols (tau m l, -1, tau m, tau) / pivot then weight them into w^{n+1}.
     """
 
     def __init__(self, model, grid, scheme, tau, states, t0=0.0, source=None):
-        k = scheme.k
+        if not tau > 0:
+            raise ValueError(f"tau must be positive, got {tau}")
+        self.k = k = scheme.k
         if len(states) != k:
-            raise ValueError(f"history needs exactly k={k} states")
-        self.k = k
-        self.tau = float(tau)
-        self.grid = grid
-        self.f = model.f
-        self.source = source
-        self.background = _background(model, states[0])
-        self.t0 = float(t0)
-        rows = _G + (source is not None)
+            raise ValueError(f"the flow needs exactly k={k} states")
+        self.model, self.grid, self.scheme, self.source = model, grid, scheme, source
+        self.tau, self.t0 = float(tau), float(t0)
+        A = [float(x) for x in scheme.A]
+        B = [float(x) for x in scheme.B]
+        self.mhat = model.m_symbol(grid.k2)
+        self.lhat = model.l_symbol(grid.k2)
+        tml = self.tau * self.mhat * self.lhat
+        pivot = A[0] - B[0] * tml
+        floor = 1e-14 * (abs(A[0]) + np.abs(B[0] * tml))
+        if np.any(np.abs(pivot) <= floor):
+            raise IllPosedStepError("zero pivot in the diagonal implicit solve")
+        inv_pivot = 1.0 / pivot
+        rows = _G + (source is not None)    # ring rows; the update forms rows + 1 sums
+        symbols = (tml, -1.0, self.tau * self.mhat, self.tau)[: rows + 1]
+        self.symbols = _flat_symbols([x * inv_pivot for x in symbols])
+        # scalar weights by (sum, lag, ring row); a slot's lag is (head - slot) % k
+        lag = np.zeros((rows + 1, k, rows))
+        lag[0, :, _W] = B[1:]
+        lag[1, :, _W] = A[1:]
+        for row in range(_F, rows):
+            lag[row + 1, :, row] = [float(x) for x in scheme.Bhat]
+        self._slot_coef = [lag[:, (head - np.arange(k)) % k].reshape(rows + 1, -1)
+                           for head in range(k)]
         self._ring = np.zeros((k, rows) + grid.k2.shape, dtype=complex)
-        self._delta = np.zeros((k,) + grid.k2.shape, dtype=complex)
         self.flat = self._ring.view(np.float64).reshape(k * rows, -1)
-        self.delta_flat = self._delta.view(np.float64).reshape(k, -1)
+        self.background = _background(model, states[0])
         self.n = -1             # index of the newest state
         for u in states:
             w = u - self.background
@@ -139,89 +168,30 @@ class History:
     def deviation_hat(self, back: int = 0) -> np.ndarray:
         return self.slot(back)[_W]
 
-    def delta_hats(self) -> np.ndarray:
-        """Transforms of delta u^{n+1-i} = u^{n+1-i} - u^{n-i}, i = 1..k-1,
-        stacked in that order."""
-        return self._delta[(self.head - np.arange(self.k - 1)) % self.k]
-
     def push(self, w_hat, u):
         """Store the next state (w's transform, full field u) in the oldest slot."""
         self.n += 1
         self.head = self.n % self.k     # slot of the newest state
         slot = self._ring[self.head]
-        np.subtract(w_hat, self.slot(1)[_W], out=self._delta[self.head])
         slot[_W] = w_hat
-        f = self.f(u)
+        f = self.model.f(u)
         if self.source is not None:
             f_star, slot[_G] = self.source(self.time())
             f = f - f_star
         slot[_F] = self.grid.fft(f)
 
-
-def _flat_symbols(symbols) -> np.ndarray:
-    """Stacked half-spectrum symbols over each mode's (re, im) float pair."""
-    return np.repeat(np.asarray(symbols), 2, axis=-1).reshape(len(symbols), -1)
-
-
-class SpectralFlow:
-    """Precomputed diagonal-update machinery for one (model, grid, scheme,
-    tau) combination.
-
-    Per mode the update is pivot * w^{n+1} = sum_i c_i w^{n+1-i}
-    + d_i f^{n+1-i} + tau Bhat_i g^{n+1-i}, with pivot = A_0 - tau m B_0 l
-    and the real per-lag symbols c_i = tau m l B_i - A_i, d_i = tau m Bhat_i,
-    so pivot * w^{n+1} = tau m l sum B_i w_i - sum A_i w_i + tau m sum Bhat_i f_i
-    (+ tau sum Bhat_i g_i).  Those 3 (4) slot sums are one real matmul of the
-    ring's float view by the current head's coefficient matrix; the per-mode
-    symbols (tau m l, -1, tau m, tau) / pivot then weight them into w^{n+1}.
-    """
-
-    def __init__(self, model: ModelSpec, grid: Grid, scheme: SchemeCoefficients, tau: float):
-        if tau <= 0:
-            raise ValueError("tau must be positive")
-        self.model = model
-        self.grid = grid
-        self.scheme = scheme
-        self.tau = float(tau)
-        self.k = k = scheme.k
-        A = [float(x) for x in scheme.A]
-        B = [float(x) for x in scheme.B]
-        self.mhat = model.m_symbol(grid.k2)
-        self.lhat = model.l_symbol(grid.k2)
-        tml = self.tau * self.mhat * self.lhat
-        pivot = A[0] - B[0] * tml
-        floor = 1e-14 * (abs(A[0]) + np.abs(B[0] * tml))
-        if np.any(np.abs(pivot) <= floor):
-            raise IllPosedStepError("zero pivot in the diagonal implicit solve")
-        inv_pivot = 1.0 / pivot
-        self.symbols = _flat_symbols(
-            [tml * inv_pivot, -inv_pivot, self.tau * self.mhat * inv_pivot, self.tau * inv_pivot]
-        )
-        # scalar weights by (sum, lag, ring row); a slot's lag is (head - slot) % k
-        lag = np.zeros((4, k, 3))
-        lag[0, :, _W] = B[1:]
-        lag[1, :, _W] = A[1:]
-        lag[2, :, _F] = lag[3, :, _G] = [float(x) for x in scheme.Bhat]
-        by_head = [lag[:, (head - np.arange(k)) % k] for head in range(k)]
-        # [whether the history carries a source row][head]
-        self._slot_coef = [[c[:r + 1, :, :r].reshape(r + 1, -1) for c in by_head] for r in (2, 3)]
-
-    def history(self, states, t0=0.0, source=None) -> History:
-        return History(self.model, self.grid, self.scheme, self.tau, states, t0, source)
-
-    def step(self, history: History) -> np.ndarray:
+    def step(self) -> np.ndarray:
         """Advance one multistep update; returns the new full field.
 
         The new transform is the solved right-hand side itself, so a step
         costs one inverse transform (for f(u)) and one forward one (of f(u),
         less f(u*) with a source).
         """
-        coef = self._slot_coef[history.source is not None][history.head]
-        rhs = np.einsum("rm,rm->m", self.symbols[: len(coef)], coef @ history.flat)
+        rhs = np.einsum("rm,rm->m", self.symbols, self._slot_coef[self.head] @ self.flat)
         rhs = rhs.view(complex).reshape(self.grid.k2.shape)
         u = self.grid.ifft(rhs)
-        u += history.background
-        history.push(rhs, u)
+        u += self.background
+        self.push(rhs, u)
         return u
 
 
@@ -356,64 +326,70 @@ def _spectral_weights(grid: Grid, *symbols) -> np.ndarray:
     return _flat_symbols([w * scale for w in symbols])
 
 
-def modified_energy(
-    model: ModelSpec,
-    grid: Grid,
-    history: History,
-    scheme: SchemeCoefficients,
-    report: DissipationReport,
-) -> float:
+def modified_energy(flow: SpectralFlow, report: DissipationReport) -> float:
     """Energy plus the certified nonnegative quadratic modifications.
 
     E_G^n = E[u^n] - (1/tau) sum g^a_ij (du_i, M^{-1} du_j)
             + sum g^b_ij (du_i, L du_j) + ell_f sum chat_i ||du_i||^2
-    with du_i = delta u^{n+1-i}, i = 1..k-1, all inner products spectral;
-    the quadratic parts are the Gram sums of the tracker ``simulate`` uses.
+    with du_i = delta u^{n+1-i}, i = 1..k-1, of the flow's window, all inner
+    products spectral; the quadratic parts are the Gram sums of the tracker
+    ``simulate`` uses.
     """
     if report.refused:
         raise ValueError("cannot form modified energy: " + (report.refusal_reason or ""))
-    e = energy(model, grid, history.state(0))
-    if scheme.k == 1:
+    model, grid = flow.model, flow.grid
+    e = energy(model, grid, flow.state(0))
+    if flow.k == 1:
         return e
-    zero_modes = history.delta_hats().reshape(history.k - 1, -1)[:, 0]
-    mean = np.max(np.abs(zero_modes)) / grid.npoints
+    zero_modes = [flow.deviation_hat(back).flat[0] for back in range(flow.k)]
+    mean = np.max(np.abs(np.diff(zero_modes))) / grid.npoints
     if model.mass_conserving and mean > ZERO_MEAN_TOL:
         raise InvariantViolationError(
             f"state difference has mean {mean:.3e} under a mass-conserving model"
         )
-    mhat, lhat = model.m_symbol(grid.k2), model.l_symbol(grid.k2)
-    tracker = _QuadFormTracker(grid, history, mhat, lhat, report, reform(scheme).chat)
-    return e + tracker.quadratic_parts()
+    return e + _QuadFormTracker(flow, report).quadratic_parts()
 
 
 class _QuadFormTracker:
     """Rolling Gram matrices for the per-step modified energy.
 
-    Each new state shifts every pairwise inner product by one lag, so only
-    the new row is computed per step: one real matmul of the newest
-    difference, weighted by M^{-1}, L and the identity into a preallocated
-    buffer, against the history's difference rows as (re, im) float pairs.
+    The differences w^n - w^{n-1} sit in a ring beside the flow's, slot for
+    slot (the oldest state's slot unused).  Each new state shifts every
+    pairwise inner product by one lag, so only the new row is computed per
+    step: one real matmul of the newest difference, weighted by M^{-1}, L and
+    the identity into a preallocated buffer, against the difference rows.
     """
 
-    def __init__(self, grid, history, mhat, lhat, report, chat):
+    def __init__(self, flow: SpectralFlow, report: DissipationReport):
+        mhat, lhat = flow.mhat, flow.lhat
         inv_m = np.divide(1.0, mhat, out=np.zeros_like(mhat), where=mhat != 0.0)
-        self.weights = _spectral_weights(grid, inv_m, lhat, np.ones_like(lhat))
+        self.weights = _spectral_weights(flow.grid, inv_m, lhat, np.ones_like(lhat))
         self._product = np.empty_like(self.weights)
         # Gram coefficients of E_G - E, in the order of self.gram
         self.coef = np.stack([
-            -np.asarray(report.G_a, dtype=float) / history.tau,
+            -np.asarray(report.G_a, dtype=float) / flow.tau,
             np.asarray(report.G_b, dtype=float),
-            report.constants.ell_f * np.diag(np.asarray(chat, dtype=float)),
+            report.constants.ell_f * np.diag(np.asarray(reform(flow.scheme).chat, dtype=float)),
         ])
-        deltas = history.delta_hats().view(np.float64).reshape(history.k - 1, -1)
+        self._delta = np.zeros((flow.k,) + lhat.shape, dtype=complex)
+        self.flat = self._delta.view(np.float64).reshape(flow.k, -1)
+        lags = self.lags(flow.head)
+        for back, slot in enumerate(lags):
+            self._delta[slot] = flow.deviation_hat(back) - flow.deviation_hat(back + 1)
+        deltas = self.flat[lags]
         self.gram = (self.weights[:, None] * deltas) @ deltas.T   # by lag
 
-    def push(self, history):
-        """Shift in the row of the history's newest difference."""
-        n = self.gram.shape[-1]
-        head, flat = history.head, history.delta_flat
-        row = np.multiply(self.weights, flat[head], out=self._product) @ flat.T   # by slot
-        row = row[:, (head - np.arange(n)) % history.k]         # by lag
+    def lags(self, head: int) -> np.ndarray:
+        """Slots of du_1 .. du_{k-1} when the flow's newest state is at ``head``."""
+        k = len(self.flat)
+        return (head - np.arange(k - 1)) % k
+
+    def push(self, flow: SpectralFlow):
+        """Form the flow's newest difference and shift in its Gram row."""
+        head = flow.head
+        np.subtract(flow.deviation_hat(0), flow.deviation_hat(1), out=self._delta[head])
+        row = np.multiply(self.weights, self.flat[head], out=self._product) @ self.flat.T
+        row = row[:, self.lags(head)]       # from slot order to lag order
         self.gram[:, 1:, 1:] = self.gram[:, :-1, :-1].copy()
         self.gram[:, 0, :] = row
         self.gram[:, :, 0] = row
@@ -462,34 +438,34 @@ def simulate(
 ) -> tuple:
     """Drive a full run and record the energy trace.
 
-    The modified energy is recorded from step k-1 on (earlier entries are
-    NaN) and only when a non-refused certificate is supplied.  ``source(t)``,
+    The Gauss starter's k states seed one ``SpectralFlow``; a Gram tracker
+    follows the modified energy only under a non-refused certificate, which
+    is recorded from step k-1 on (other entries are NaN).  ``source(t)``,
     when given, returns g(t) split as ``discrete_source`` does.  Returns
-    (trace, history); raises InvariantViolationError at the first state
-    whose energy is not finite or whose max|u| reaches the model's
-    truncation radius, where the certificate no longer holds.  A negative
-    ``n_steps`` (an end time inside the k-step starting window) raises
-    ValueError.
+    (trace, flow); raises InvariantViolationError at the first state whose
+    energy is not finite or whose max|u| reaches the model's truncation
+    radius, where the certificate no longer holds.  A ``tau`` that is not
+    positive or a negative ``n_steps`` (an end time inside the k-step
+    starting window) raises ValueError before the starter runs.
     """
+    if not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
     if n_steps < 0:
         raise ValueError(f"n_steps = {n_steps}: T too short for the starting window")
-    flow = SpectralFlow(model, grid, scheme, tau)
     k = scheme.k
     states = gauss_rk6_start(model, grid, u0, tau, k, source=source)
-    history = flow.history(states, source=source)
+    flow = SpectralFlow(model, grid, scheme, tau, states, source=source)
     radius = model.truncation_radius
     certified = report is not None and not report.refused
-    tracker = None
-    if certified and k > 1:
-        tracker = _QuadFormTracker(grid, history, flow.mhat, flow.lhat, report, reform(scheme).chat)
+    tracker = _QuadFormTracker(flow, report) if certified and k > 1 else None
     # the energy shares the tracker's weight stack: L's weight is its row 1
     lweight = tracker.weights[1] if tracker else _spectral_weights(grid, flow.lhat)[0]
     trace = EnergyTrace()
 
     def record(step, u, back):
-        """Check and record u = u^step, held in the history ``back`` states back."""
+        """Check and record u = u^step, held in the flow's ring ``back`` states back."""
         t = step * tau
-        e = energy(model, grid, u, history.deviation_hat(back), lweight, history.background)
+        e = energy(model, grid, u, flow.deviation_hat(back), lweight, flow.background)
         max_abs = float(np.max(np.abs(u)))
         if not math.isfinite(e):
             raise InvariantViolationError(f"energy is {e} after step {step} (t = {t})")
@@ -508,11 +484,11 @@ def simulate(
     for j, u in enumerate(states):
         record(j, u, k - 1 - j)
     for n in range(k, k + n_steps):
-        u = flow.step(history)
+        u = flow.step()
         if tracker is not None:
-            tracker.push(history)
+            tracker.push(flow)
         record(n, u, 0)
-    return trace, history
+    return trace, flow
 
 
 @dataclass(frozen=True)

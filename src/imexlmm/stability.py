@@ -239,6 +239,24 @@ def region_slice(
     return RegionSlice(re_axis=re_axis, im_axis=im_axis, mask=mask)
 
 
+def _exact_gcd(p, q) -> np.ndarray:
+    """Monic gcd of two exact polynomials (ascending object arrays), by Euclid."""
+    while any(q):
+        p, q = q, P.polydiv(p, q)[1]
+    p = np.trim_zeros(p, "b")
+    return p / p[-1]
+
+
+def _roots_off_one(p) -> np.ndarray:
+    """Float roots of an exact polynomial (descending) once its roots at
+    xi = 0 are trimmed and those at xi = 1 divided out by exact synthetic
+    division."""
+    p = list(np.trim_zeros(p))
+    while len(p) > 1 and sum(p) == 0:
+        p = list(accumulate(p[:-1]))
+    return np.roots(np.array(p, dtype=float))
+
+
 def stability_angle(s: SchemeCoefficients) -> float:
     """A(alpha) angle in degrees, capped at 90: the largest alpha such that
     every implicit point z_I = -r e^{i phi}, |phi| < alpha, is stable.
@@ -246,14 +264,16 @@ def stability_angle(s: SchemeCoefficients) -> float:
     It is 0 unless sigma passes the root condition (the r -> infinity limit)
     and z_I = -1 is stable, else the least pi - |arg z| over the boundary
     locus z = rho(xi) / sigma(xi), |xi| = 1 (Hairer & Wanner, Solving ODEs
-    II, V.2) of rho and sigma divided by their exact gcd, whose unit-circle
-    roots would leave gaps in the locus.  That least value sits at a
-    stationary point of arg z, a root of Re(xi (rho' sigma - rho sigma')
-    conj(rho sigma)), or on the real axis, a root of Im(rho conj(sigma));
-    both are exact integer polynomials, whose roots at xi = 1 (z -> 0, limit
-    90 degrees) are divided out exactly.  Each root, projected onto the
-    circle, is a locus point, so roots off the circle never undercut the
-    minimum; points where rho or sigma vanish drop.
+    II, V.2) of rho and sigma divided by their exact gcd.  That least value
+    sits at a stationary point of arg z, a root of Re(xi (rho' sigma - rho
+    sigma') conj(rho sigma)), or on the real axis, a root of Im(rho
+    conj(sigma)); both are exact integer polynomials, whose roots at xi = 1
+    (z -> 0, limit 90 degrees) are divided out exactly.  Each root,
+    projected onto the circle, is a locus point, so roots off the circle
+    never undercut the minimum; points where rho or sigma vanish drop.  At
+    a unit-circle root xi0 != 1 of rho (sigma), both passing the root
+    condition, the locus passes through 0 (infinity) along the one-sided
+    limits +-i xi0 rho'(xi0) / sigma(xi0) (+-rho(xi0) / (i xi0 sigma'(xi0))).
     """
     rho, sigma, _ = char_polys(s).as_arrays()
     # rho + sigma is the characteristic polynomial at z_I = -1
@@ -262,10 +282,9 @@ def stability_angle(s: SchemeCoefficients) -> float:
         raise UndefinedAngleError("scheme is not zero-stable")
     if not (sigma_ok and minus_one_ok):
         return 0.0
-    g, q = exact = [np.array(p[::-1], dtype=object) for p in (s.A, s.B)]  # ascending, exact
-    while any(q):   # Euclid: g ends as the gcd of rho and sigma
-        g, q = q, P.polydiv(g, q)[1]
-    rho_x, sigma_x = (list(P.polydiv(p, g / g[-1])[0][::-1]) for p in exact)
+    exact = [np.array(p[::-1], dtype=object) for p in (s.A, s.B)]  # ascending, exact
+    g = _exact_gcd(*exact)
+    rho_x, sigma_x = (list(P.polydiv(p, g)[0][::-1]) for p in exact)
     if len(rho_x) == 1:     # rho = c sigma: the locus is the one point z = c
         return 90.0 if rho_x[0] / sigma_x[0] > 0 else 0.0
     rho, sigma = (np.array([float(c) for c in x]) for x in (rho_x, sigma_x))
@@ -274,14 +293,16 @@ def stability_angle(s: SchemeCoefficients) -> float:
     wronskian = np.convolve(np.polyder(ri), si) - np.convolve(ri, np.polyder(si))
     y = np.convolve(np.convolve(np.append(wronskian, 0), ri[::-1]), si[::-1])
     crossing = np.convolve(ri, si[::-1]) - np.convolve(si, ri[::-1])
-    roots = []
-    for p in (y + y[::-1], crossing):
-        p = list(np.trim_zeros(p))
-        while len(p) > 1 and sum(p) == 0:  # synthetic division by (xi - 1)
-            p = list(accumulate(p[:-1]))
-        roots.extend(np.roots(np.array(p, dtype=float)))
-    xi = np.array(roots) / np.abs(roots)
+    roots = np.concatenate([_roots_off_one(p) for p in (y + y[::-1], crossing)])
+    xi = roots / np.abs(roots)
     at_rho, at_sigma = np.polyval(rho, xi), np.polyval(sigma, xi)
     keep = np.minimum(abs(at_rho) / abs(rho).sum(), abs(at_sigma) / abs(sigma).sum()) > LOCUS_TOL
-    gaps = np.pi - np.abs(np.angle(at_rho[keep] * at_sigma[keep].conj()))
+    directions = [at_rho[keep] * at_sigma[keep].conj()]
+    for x, p, q, power in ((rho_x, rho, sigma, 1), (sigma_x, sigma, rho, -1)):
+        x = np.array(x, dtype=object)   # gcd(x, reversed x): x's roots on the circle
+        xi0 = _roots_off_one(_exact_gcd(x[::-1], x)[::-1])
+        xi0 /= np.abs(xi0)
+        d = (1j * xi0 * np.polyval(np.polyder(p), xi0) / np.polyval(q, xi0)) ** power
+        directions += [d, -d]
+    gaps = np.pi - np.abs(np.angle(np.concatenate(directions)))
     return min(90.0, float(np.degrees(gaps.min(initial=np.pi))))

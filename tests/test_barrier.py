@@ -347,7 +347,7 @@ def _sequential_search(k, budget, seed, kappa=1.0):
                     trial[i] += sign * step * scales[i]
                     t = score(trial)
                     evals += 1
-                    if t > s:
+                    if t > s + barrier.SEARCH_GAIN * abs(s):
                         current, s, improved = trial, t, True
             if s > best:
                 best_w, best = list(current), s

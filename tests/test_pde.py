@@ -37,6 +37,14 @@ def small_grid(n=32, length=2 * np.pi):
     return Grid((n, n), (length, length))
 
 
+def spectral_inner(grid, u_hat, v_hat, weight=None) -> float:
+    """(u, W v) for a real diagonal symbol W, from half spectra: each stored
+    mode counts with its multiplicity in the full spectrum."""
+    w = grid.multiplicity if weight is None else weight * grid.multiplicity
+    z = u_hat.real * v_hat.real + u_hat.imag * v_hat.imag
+    return grid.cell_volume / grid.npoints * float(np.sum(z * w))
+
+
 def free_flow_model(epsilon=0.0):
     """m = -1, L = 0, f = 0: stationary dynamics for step bookkeeping tests."""
     return ModelSpec(
@@ -68,7 +76,7 @@ def test_grid_parseval_identity(dim):
         u = rng.standard_normal(grid.shape)
         v = rng.standard_normal(grid.shape)
         direct = grid.inner(u, v)
-        spectral = grid.spectral_inner(grid.fft(u), grid.fft(v))
+        spectral = spectral_inner(grid, grid.fft(u), grid.fft(v))
         assert abs(direct - spectral) < 1e-12 * max(1.0, abs(direct))
         assert np.max(np.abs(grid.ifft(grid.fft(u)) - u)) < 1e-13
 
@@ -112,7 +120,7 @@ def test_spectral_norm_identity():
         v_hat = grid.fft(v)
         inv = np.zeros_like(mhat)
         inv[mhat != 0] = 1.0 / mhat[mhat != 0]
-        via_symbol = grid.spectral_inner(v_hat, v_hat, -inv)
+        via_symbol = spectral_inner(grid, v_hat, v_hat, -inv)
         w = grid.ifft(-inv * v_hat)  # w = -M^{-1} v on the zero-mean complement
         via_solve = grid.inner(v, w)
         assert abs(via_symbol - via_solve) < 1e-12 * max(1.0, abs(via_symbol))
@@ -130,9 +138,9 @@ def test_interpolation_inequality_pfc():
         v = rng.standard_normal(grid.shape)
         v -= v.mean()
         v_hat = grid.fft(v)
-        norm = np.sqrt(grid.spectral_inner(v_hat, v_hat))
-        m_half = np.sqrt(grid.spectral_inner(v_hat, v_hat, -inv))
-        l_half = np.sqrt(grid.spectral_inner(v_hat, v_hat, lhat))
+        norm = np.sqrt(spectral_inner(grid, v_hat, v_hat))
+        m_half = np.sqrt(spectral_inner(grid, v_hat, v_hat, -inv))
+        l_half = np.sqrt(spectral_inner(grid, v_hat, v_hat, lhat))
         bound = model.zeta * m_half ** model.eta * l_half ** (1 - model.eta)
         assert norm <= bound * (1 + 1e-12)
 
@@ -147,10 +155,9 @@ def test_stationary_dynamics_bdf1():
     grid = small_grid(16)
     model = free_flow_model()
     scheme = bdf_coefficients(1)
-    flow = SpectralFlow(model, grid, scheme, tau=0.1)
     u0 = np.sin(grid.coordinates()[0])
-    history = flow.history(gauss_rk6_start(model, grid, u0, flow.tau, scheme.k))
-    u1 = flow.step(history)
+    flow = SpectralFlow(model, grid, scheme, 0.1, gauss_rk6_start(model, grid, u0, 0.1, scheme.k))
+    u1 = flow.step()
     assert np.max(np.abs(u1 - u0)) < 1e-14
 
 
@@ -167,10 +174,8 @@ def test_local_truncation_order_seven():
     errors = []
     taus = [0.2, 0.1, 0.05]
     for tau in taus:
-        flow = SpectralFlow(model, grid, scheme, tau)
         states = [solution.u(t0 + j * tau) for j in range(scheme.k)]
-        history = flow.history(states, t0=t0, source=source)
-        u = flow.step(history)
+        u = SpectralFlow(model, grid, scheme, tau, states, t0=t0, source=source).step()
         errors.append(np.max(np.abs(u - solution.u(t0 + scheme.k * tau))))
     rates = [np.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
     assert all(6.4 < r < 7.6 for r in rates), (errors, rates)
@@ -188,8 +193,7 @@ def test_pfc_step_matches_full_spectrum_oracle():
     for _ in range(scheme.k):
         noise = 0.2 * rng.standard_normal(grid.shape)
         states.append(0.285 + noise - noise.mean())
-    flow = SpectralFlow(model, grid, scheme, tau)
-    got = flow.step(flow.history(states))
+    got = SpectralFlow(model, grid, scheme, tau, states).step()
 
     freq = [2 * np.pi * np.fft.fftfreq(n, d=l / n) for n, l in zip(grid.shape, grid.lengths)]
     k2 = freq[0][:, None] ** 2 + freq[1][None, :] ** 2
@@ -224,13 +228,12 @@ def test_mass_conservation_zero_mode():
     grid = Grid((32, 32), (32.0, 32.0))
     model = pfc(0.25)
     scheme = lmm6_scheme()
-    flow = SpectralFlow(model, grid, scheme, tau=0.01)
     rng = np.random.default_rng(3)
     u0 = 0.3 + 0.1 * rng.standard_normal(grid.shape)
-    history = flow.history(gauss_rk6_start(model, grid, u0, flow.tau, scheme.k))
+    flow = SpectralFlow(model, grid, scheme, 0.01, gauss_rk6_start(model, grid, u0, 0.01, scheme.k))
     mean0 = np.mean(u0)
     for _ in range(50):
-        u = flow.step(history)
+        u = flow.step()
     assert abs(np.mean(u) - mean0) < 1e-12 * abs(mean0)
 
 
@@ -238,13 +241,12 @@ def test_cahn_hilliard_mass_conservation():
     grid = Grid((32, 32), (2 * np.pi, 2 * np.pi))
     model = cahn_hilliard(0.2)
     scheme = bdf_coefficients(3)
-    flow = SpectralFlow(model, grid, scheme, tau=1e-3)
     rng = np.random.default_rng(4)
     u0 = 0.1 * rng.standard_normal(grid.shape)
-    history = flow.history(gauss_rk6_start(model, grid, u0, flow.tau, scheme.k))
+    flow = SpectralFlow(model, grid, scheme, 1e-3, gauss_rk6_start(model, grid, u0, 1e-3, scheme.k))
     mean0 = np.mean(u0)
     for _ in range(40):
-        u = flow.step(history)
+        u = flow.step()
     assert abs(np.mean(u) - mean0) < 1e-12
 
 
@@ -422,10 +424,9 @@ def test_modified_energy_constant_history_equals_energy():
     model = allen_cahn(0.05)
     scheme = bdf_coefficients(3)
     report = certify_scheme(scheme, model.constants())
-    flow = SpectralFlow(model, grid, scheme, tau=0.01)
     u = 0.3 * np.sin(grid.coordinates()[0])
-    history = flow.history([u.copy() for _ in range(scheme.k)])
-    eg = modified_energy(model, grid, history, scheme, report)
+    flow = SpectralFlow(model, grid, scheme, 0.01, [u.copy() for _ in range(scheme.k)])
+    eg = modified_energy(flow, report)
     assert eg == pytest.approx(energy(model, grid, u), rel=1e-14)
 
 
@@ -434,10 +435,9 @@ def test_modified_energy_k1_degenerates():
     model = allen_cahn(0.05)
     scheme = bdf_coefficients(1)
     report = certify_scheme(scheme, model.constants())
-    flow = SpectralFlow(model, grid, scheme, tau=0.01)
     u = 0.3 * np.sin(grid.coordinates()[0])
-    history = flow.history([u])
-    assert modified_energy(model, grid, history, scheme, report) == pytest.approx(
+    flow = SpectralFlow(model, grid, scheme, 0.01, [u])
+    assert modified_energy(flow, report) == pytest.approx(
         energy(model, grid, u), rel=1e-14
     )
 
@@ -447,12 +447,11 @@ def test_modified_energy_rejects_nonzero_mean_differences():
     model = pfc(0.25)
     scheme = bdf_coefficients(2)
     report = certify_scheme(scheme, model.constants())
-    flow = SpectralFlow(model, grid, scheme, tau=0.01)
     u = 0.285 + 0.01 * np.sin(grid.coordinates()[0])
     states = [u, u + 0.05]  # mean jumps between states
-    history = flow.history(states)
+    flow = SpectralFlow(model, grid, scheme, 0.01, states)
     with pytest.raises(InvariantViolationError):
-        modified_energy(model, grid, history, scheme, report)
+        modified_energy(flow, report)
 
 
 def test_dissipation_within_certified_step_bound():
@@ -476,7 +475,7 @@ def test_modified_energy_dominates_energy_and_decays():
     report = certify_scheme(scheme, model.constants())
     rng = np.random.default_rng(7)
     u0 = 0.285 + 0.1 * rng.uniform(-1, 1, grid.shape)
-    trace, history = simulate(model, grid, scheme, report, u0, tau=0.01, n_steps=200)
+    trace, flow = simulate(model, grid, scheme, report, u0, tau=0.01, n_steps=200)
     k = scheme.k
     for n in range(k - 1, len(trace.steps)):
         eg, e = trace.modified_energy[n], trace.energy[n]
@@ -485,7 +484,7 @@ def test_modified_energy_dominates_energy_and_decays():
         prev = trace.modified_energy[n - 1]
         assert trace.modified_energy[n] <= prev + 1e-9 * max(1.0, abs(prev))
     # rolling tracker agrees with the direct quadratic-form evaluation
-    direct = modified_energy(model, grid, history, scheme, report)
+    direct = modified_energy(flow, report)
     assert direct == pytest.approx(trace.modified_energy[-1], rel=1e-12)
 
     # independent oracle for the quadratic part E_G - E: differences of the
@@ -496,7 +495,7 @@ def test_modified_energy_dominates_energy_and_decays():
     m, l = -k2, (1.0 - k2) ** 2 + 1.0
     inv_m = np.zeros_like(m)
     inv_m[m != 0] = 1.0 / m[m != 0]
-    du_hat = [np.fft.fftn(history.state(i - 1) - history.state(i)) for i in range(1, k)]
+    du_hat = [np.fft.fftn(flow.state(i - 1) - flow.state(i)) for i in range(1, k)]
 
     def inner(i, j, weight):
         z = np.conj(du_hat[i]) * weight * du_hat[j]
@@ -506,11 +505,11 @@ def test_modified_energy_dominates_energy_and_decays():
     quad = 0.0
     for i in range(k - 1):
         for j in range(k - 1):
-            quad -= report.G_a[i, j] / history.tau * inner(i, j, inv_m)
+            quad -= report.G_a[i, j] / flow.tau * inner(i, j, inv_m)
             quad += report.G_b[i, j] * inner(i, j, l)
         quad += report.constants.ell_f * chat[i] * inner(i, i, 1.0)
     assert trace.modified_energy[-1] - trace.energy[-1] == pytest.approx(quad, rel=1e-9)
-    direct_quad = direct - energy(model, grid, history.state(0))
+    direct_quad = direct - energy(model, grid, flow.state(0))
     assert direct_quad == pytest.approx(quad, rel=1e-9)
 
 
@@ -523,7 +522,6 @@ def test_history_ring_matches_plain_transforms():
     scheme = lmm6_scheme()
     k = scheme.k
     report = certify_scheme(scheme, model.constants())
-    flow = SpectralFlow(model, grid, scheme, tau=0.01)
     mode = np.sin(grid.coordinates()[0])
 
     def source(t):      # f(u*) as a field, the linear part as a half spectrum
@@ -531,29 +529,27 @@ def test_history_ring_matches_plain_transforms():
 
     rng = np.random.default_rng(11)
     fields = [0.285 + 0.1 * rng.uniform(-1, 1, grid.shape) for _ in range(3 * k + 1)]
-    history = flow.history(fields[:k], t0=0.5, source=source)
-    tracker = pde._QuadFormTracker(
-        grid, history, flow.mhat, flow.lhat, report, reform(scheme).chat
-    )
+    flow = SpectralFlow(model, grid, scheme, 0.01, fields[:k], t0=0.5, source=source)
+    tracker = pde._QuadFormTracker(flow, report)
     background = float(np.mean(fields[0]))
     w_hats = [grid.fft(u - background) for u in fields]
-    # f of the deviation plus background, as History forms the first k, and
+    # f of the deviation plus background, as the flow forms the first k, and
     # of the pushed field after them
     f_args = [u - background + background for u in fields[:k]] + fields[k:]
     for n in range(k - 1, len(fields)):
         if n >= k:
-            history.push(w_hats[n], fields[n])
-            tracker.push(history)
+            flow.push(w_hats[n], fields[n])
+            tracker.push(flow)
         for i in range(k):
             t = 0.5 + (n - i) * 0.01
-            f_star, g_lin = source(history.time(i))
-            assert history.time(i) == pytest.approx(t, abs=1e-15)
-            assert np.array_equal(history.deviation_hat(i), w_hats[n - i])
+            f_star, g_lin = source(flow.time(i))
+            assert flow.time(i) == pytest.approx(t, abs=1e-15)
+            assert np.array_equal(flow.deviation_hat(i), w_hats[n - i])
             f_hat = grid.fft(model.f(f_args[n - i]) - f_star)
-            assert np.array_equal(history.slot(i)[pde._F], f_hat)
-            assert np.array_equal(history.slot(i)[pde._G], g_lin)
-            assert np.allclose(history.state(i), fields[n - i], rtol=0, atol=1e-14)
-        deltas = history.delta_hats()
+            assert np.array_equal(flow.slot(i)[pde._F], f_hat)
+            assert np.array_equal(flow.slot(i)[pde._G], g_lin)
+            assert np.allclose(flow.state(i), fields[n - i], rtol=0, atol=1e-14)
+        deltas = tracker._delta[tracker.lags(flow.head)]
         expected = [w_hats[n - i] - w_hats[n - i - 1] for i in range(k - 1)]
         assert np.array_equal(deltas, expected)
         flat = deltas.view(np.float64).reshape(k - 1, -1)
@@ -570,26 +566,25 @@ def test_fused_update_matches_per_lag_sum(with_source):
     model = pfc(0.25)
     scheme = lmm6_scheme()
     k, tau = scheme.k, 0.01
-    flow = SpectralFlow(model, grid, scheme, tau)
     mode = np.sin(grid.coordinates()[0])
     source = (lambda t: (np.cos(t) * mode, grid.fft(np.sin(t) * mode))) if with_source else None
     rng = np.random.default_rng(13)
     fields = [0.285 + 0.1 * rng.uniform(-1, 1, grid.shape) for _ in range(k)]
-    history = flow.history(fields, source=source)
+    flow = SpectralFlow(model, grid, scheme, tau, fields, source=source)
     A, B, Bhat = ([float(x) for x in c] for c in (scheme.A, scheme.B, scheme.Bhat))
     tml = tau * flow.mhat * flow.lhat
     pivot = A[0] - B[0] * tml
     for _ in range(2 * k + 1):
-        expected = np.zeros_like(history.deviation_hat(0))
+        expected = np.zeros_like(flow.deviation_hat(0))
         for i in range(1, k + 1):
-            slot = history.slot(i - 1)
+            slot = flow.slot(i - 1)
             expected += (tml * B[i] - A[i]) * slot[pde._W]
             expected += tau * flow.mhat * Bhat[i - 1] * slot[pde._F]
             if with_source:
                 expected += tau * Bhat[i - 1] * slot[pde._G]
         expected /= pivot
-        flow.step(history)
-        got = history.deviation_hat(0)
+        flow.step()
+        got = flow.deviation_hat(0)
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
@@ -663,7 +658,7 @@ def test_multistep_update_costs_three_transforms(monkeypatch):
 
 
 def test_sourced_update_costs_three_transforms(monkeypatch):
-    # the manufactured source takes no transform per time: History subtracts
+    # the manufactured source takes no transform per time: the flow subtracts
     # f(u*) from f(u) before the forward transform it takes anyway
     counts = _count_update_transforms(monkeypatch)
     grid = small_grid(32)
@@ -716,9 +711,9 @@ def test_sourced_update_matches_full_spectrum_oracle(model):
     tau, t0 = 0.05, 1.0
     times = [t0 + j * tau for j in range(scheme.k)]
     states = [solution.u(t) for t in times]
-    flow = SpectralFlow(model, grid, scheme, tau)
-    history = flow.history(states, t0=t0, source=discrete_source(model, grid, solution))
-    got = flow.step(history)
+    flow = SpectralFlow(model, grid, scheme, tau, states, t0=t0,
+                        source=discrete_source(model, grid, solution))
+    got = flow.step()
 
     freq = [2 * np.pi * np.fft.fftfreq(n, d=l / n) for n, l in zip(grid.shape, grid.lengths)]
     k2 = freq[0][:, None] ** 2 + freq[1][None, :] ** 2
@@ -763,6 +758,42 @@ def test_run_leaving_truncation_interval_raises():
             on_state=lambda n, t, u: seen.append(np.max(np.abs(u))),
         )
     assert seen and max(seen) < 0.5
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+def test_nonpositive_tau_is_a_usage_error_before_the_starter(monkeypatch, tau):
+    # a bad tau is refused up front, not after the starter halves its substep
+    # six times and reports a StarterFailureError (an internal-invariant class)
+    grid = small_grid(16)
+    model = allen_cahn(0.1)
+    scheme = bdf_coefficients(2)
+    u0 = 0.1 * np.sin(grid.coordinates()[0])
+
+    def starter(*args, **kwargs):
+        raise AssertionError("the starter ran")
+
+    monkeypatch.setattr(pde, "gauss_rk6_start", starter)
+    with pytest.raises(ValueError, match="tau must be positive"):
+        simulate(model, grid, scheme, None, u0, tau=tau, n_steps=3)
+    with pytest.raises(ValueError, match="tau must be positive"):
+        SpectralFlow(model, grid, scheme, tau, [u0, u0])
+
+
+@pytest.mark.parametrize("certified", [False, True])
+def test_only_a_certified_run_tracks_step_differences(monkeypatch, certified):
+    # an uncertified run records no E_G and builds no Gram tracker, so its
+    # updates form no step differences
+    built = []
+    tracker = pde._QuadFormTracker
+    monkeypatch.setattr(pde, "_QuadFormTracker", lambda *args: built.append(1) or tracker(*args))
+    grid = small_grid(16)
+    model = allen_cahn(0.1)
+    scheme = bdf_coefficients(3)
+    report = certify_scheme(scheme, model.constants()) if certified else None
+    u0 = 0.1 * np.sin(grid.coordinates()[0])
+    trace, _ = simulate(model, grid, scheme, report, u0, tau=0.01, n_steps=4)
+    assert len(built) == certified
+    assert np.isfinite(trace.modified_energy[-1]) == certified
 
 
 # ----------------------------------------------------------- study drivers

@@ -219,6 +219,25 @@ def test_stability_angle_divides_out_the_common_factor(A, B, Bhat, unstable, ang
     assert not stability._points_stable(rho, sigma, sigma_hat, unstable, 0.0)[0]
 
 
+@pytest.mark.parametrize(
+    "A, B, angle",
+    [
+        # the reduced rho vanishes at e^{+-1.696i}: the locus passes through 0
+        ((F(-4, 3), F(-1, 3), F(0), F(1, 3), F(4, 3)),
+         (F(-3), F(-10, 3), F(-1), F(-5, 3), F(-1)), 71.6999724),
+        # sigma / (xi^2 + 1) vanishes at e^{+-1.738i}: the locus passes through infinity
+        ((F(4), F(-1), F(3), F(-1), F(-1)), (F(3), F(1), F(6), F(1), F(3)), 73.0773268),
+    ],
+    ids=["rho-root", "sigma-root"],
+)
+def test_stability_angle_takes_one_sided_limits_at_unit_circle_roots(A, B, angle):
+    # no stationary point of arg z attains the infimum there; the candidates
+    # near the root alone read 71.6999763 and 73.0773291.  The expected
+    # values are the limits computed in 30-digit arithmetic
+    s = SchemeCoefficients(len(A) - 1, A, B, B[1:])
+    assert stability_angle(s) == pytest.approx(angle, abs=1e-6)
+
+
 def test_region_slice_marks_a_vanishing_polynomial_unstable():
     sl = region_slice(RHO_IS_MINUS_SIGMA, "implicit", window=(-2.0, 0.0, -1.0, 1.0), resolution=3)
     assert sl.re_axis[1] == -1.0 and sl.im_axis[1] == 0.0
