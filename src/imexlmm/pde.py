@@ -7,7 +7,8 @@ method (order 6), whose stage system is solved by fixed-point iteration on
 the nonlinearity, the stiff linear part solved per mode from three real
 symbols and each iteration started from the previous substep's prediction.
 One ``SpectralFlow`` per run holds and advances the transforms of the last
-k states; a certified run's energy tracker keeps their differences beside it.
+k states, the run's only history; a certified run's energy tracker reads
+them there.
 
 For mass-conserving models (m(0) = 0) the integrator evolves the deviation
 from the initial mean: the zero mode of the deviation stays at rounding level
@@ -105,8 +106,9 @@ class SpectralFlow:
     w from a fixed background mean (zero for models that do not conserve
     mass) and of f(u), or with a source of f(u) - f(u*) and of the linear
     part of g (see ``discrete_source``); ``flat`` views the ring as float
-    rows by slot.  Getters return views, which ``push`` overwrites k states
-    later; ``state(back)`` inverts on demand and returns the full field.
+    rows by slot and ``deviations`` its k deviation rows.  Getters return
+    views, which ``push`` overwrites k states later; ``state(back)`` inverts
+    on demand and returns the full field.
 
     Per mode the update is pivot * w^{n+1} = sum_i c_i w^{n+1-i}
     + d_i f^{n+1-i} + tau Bhat_i g^{n+1-i}, with pivot = A_0 - tau m B_0 l
@@ -148,6 +150,7 @@ class SpectralFlow:
                            for head in range(k)]
         self._ring = np.zeros((k, rows) + grid.k2.shape, dtype=complex)
         self.flat = self._ring.view(np.float64).reshape(k * rows, -1)
+        self.deviations = self.flat[_W::rows]
         self.background = _background(model, states[0])
         self.n = -1             # index of the newest state
         for u in states:
@@ -337,27 +340,22 @@ def modified_energy(flow: SpectralFlow, report: DissipationReport) -> float:
     """
     if report.refused:
         raise ValueError("cannot form modified energy: " + (report.refusal_reason or ""))
-    model, grid = flow.model, flow.grid
-    e = energy(model, grid, flow.state(0))
+    e = energy(flow.model, flow.grid, flow.state(0))
     if flow.k == 1:
         return e
-    zero_modes = [flow.deviation_hat(back).flat[0] for back in range(flow.k)]
-    mean = np.max(np.abs(np.diff(zero_modes))) / grid.npoints
-    if model.mass_conserving and mean > ZERO_MEAN_TOL:
-        raise InvariantViolationError(
-            f"state difference has mean {mean:.3e} under a mass-conserving model"
-        )
     return e + _QuadFormTracker(flow, report).quadratic_parts()
 
 
 class _QuadFormTracker:
     """Rolling Gram matrices for the per-step modified energy.
 
-    The differences w^n - w^{n-1} sit in a ring beside the flow's, slot for
-    slot (the oldest state's slot unused).  Each new state shifts every
-    pairwise inner product by one lag, so only the new row is computed per
-    step: one real matmul of the newest difference, weighted by M^{-1}, L and
-    the identity into a preallocated buffer, against the difference rows.
+    Each new state shifts every pairwise inner product by one lag, so only
+    the new row is computed per step, from the flow's ring itself: the
+    newest difference du_1 = w^n - w^{n-1}, weighted by M^{-1}, L and the
+    identity into a preallocated buffer, goes by one real matmul against the
+    flow's k deviation rows, and (W du_1, du_j) = (W du_1, w^{n+1-j}) -
+    (W du_1, w^{n-j}) are the differences of adjacent lags.  Building one
+    checks that no difference of a mass-conserving run carries mean.
     """
 
     def __init__(self, flow: SpectralFlow, report: DissipationReport):
@@ -365,34 +363,29 @@ class _QuadFormTracker:
         inv_m = np.divide(1.0, mhat, out=np.zeros_like(mhat), where=mhat != 0.0)
         self.weights = _spectral_weights(flow.grid, inv_m, lhat, np.ones_like(lhat))
         self._product = np.empty_like(self.weights)
+        self._du = np.empty_like(self.weights[0])
         # Gram coefficients of E_G - E, in the order of self.gram
         self.coef = np.stack([
             -np.asarray(report.G_a, dtype=float) / flow.tau,
             np.asarray(report.G_b, dtype=float),
             report.constants.ell_f * np.diag(np.asarray(reform(flow.scheme).chat, dtype=float)),
         ])
-        self._delta = np.zeros((flow.k,) + lhat.shape, dtype=complex)
-        self.flat = self._delta.view(np.float64).reshape(flow.k, -1)
-        lags = self.lags(flow.head)
-        for back, slot in enumerate(lags):
-            self._delta[slot] = flow.deviation_hat(back) - flow.deviation_hat(back + 1)
-        deltas = self.flat[lags]
+        w = flow.deviations[(flow.head - np.arange(flow.k)) % flow.k]    # by lag
+        deltas = w[:-1] - w[1:]      # du_1 .. du_{k-1}, then dropped
+        mean = np.max(np.hypot(deltas[:, 0], deltas[:, 1])) / flow.grid.npoints
+        if flow.model.mass_conserving and mean > ZERO_MEAN_TOL:
+            raise InvariantViolationError(
+                f"state difference has mean {mean:.3e} under a mass-conserving model"
+            )
         self.gram = (self.weights[:, None] * deltas) @ deltas.T   # by lag
 
-    def lags(self, head: int) -> np.ndarray:
-        """Slots of du_1 .. du_{k-1} when the flow's newest state is at ``head``."""
-        k = len(self.flat)
-        return (head - np.arange(k - 1)) % k
-
     def push(self, flow: SpectralFlow):
-        """Form the flow's newest difference and shift in its Gram row."""
-        head = flow.head
-        np.subtract(flow.deviation_hat(0), flow.deviation_hat(1), out=self._delta[head])
-        row = np.multiply(self.weights, self.flat[head], out=self._product) @ self.flat.T
-        row = row[:, self.lags(head)]       # from slot order to lag order
+        """Shift in the Gram row of the flow's newest difference."""
+        w, lags = flow.deviations, (flow.head - np.arange(flow.k)) % flow.k
+        np.subtract(w[lags[0]], w[lags[1]], out=self._du)
+        dots = (np.multiply(self.weights, self._du, out=self._product) @ w.T)[:, lags]
         self.gram[:, 1:, 1:] = self.gram[:, :-1, :-1].copy()
-        self.gram[:, 0, :] = row
-        self.gram[:, :, 0] = row
+        self.gram[:, 0, :] = self.gram[:, :, 0] = dots[:, :-1] - dots[:, 1:]
 
     def quadratic_parts(self) -> float:
         return float(np.sum(self.coef * self.gram))
@@ -458,8 +451,7 @@ def simulate(
     radius = model.truncation_radius
     certified = report is not None and not report.refused
     tracker = _QuadFormTracker(flow, report) if certified and k > 1 else None
-    # the energy shares the tracker's weight stack: L's weight is its row 1
-    lweight = tracker.weights[1] if tracker else _spectral_weights(grid, flow.lhat)[0]
+    lweight = _spectral_weights(grid, flow.lhat)[0]
     trace = EnergyTrace()
 
     def record(step, u, back):

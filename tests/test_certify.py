@@ -250,6 +250,16 @@ def test_certify_bdf5():
     assert report.tau_max > 0.0
 
 
+def test_certify_refuses_on_b_alone():
+    # min T(x; a) = 0.5 passes, min T(x; b) = -3.25 does not
+    report = certify_scheme(lmm_from_parameters([Fraction(-3, 2), Fraction(-3, 2)]), AC_CONSTANTS)
+    assert report.refused
+    assert report.alpha_max == pytest.approx(0.5, abs=1e-12)
+    assert report.beta_max == pytest.approx(-3.25, abs=1e-12)
+    assert "T(x; b)" in report.refusal_reason and "T(x; a)" not in report.refusal_reason
+    assert report.cert_b is None and report.tau_max is None
+
+
 def test_certify_bdf6_refuses():
     report = certify_scheme(bdf_coefficients(6), AC_CONSTANTS)
     assert report.refused

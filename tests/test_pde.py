@@ -454,6 +454,39 @@ def test_modified_energy_rejects_nonzero_mean_differences():
         modified_energy(flow, report)
 
 
+def test_tracker_rejects_nonzero_mean_differences():
+    # the zero-mean check is the tracker's own: a certified run makes it once,
+    # after the starter
+    grid = small_grid(16)
+    model = pfc(0.25)
+    scheme = bdf_coefficients(3)
+    report = certify_scheme(scheme, model.constants())
+    u = 0.285 + 0.01 * np.sin(grid.coordinates()[0])
+    flow = SpectralFlow(model, grid, scheme, 0.01, [u, u, u + 0.05])
+    with pytest.raises(InvariantViolationError, match="state difference has mean"):
+        pde._QuadFormTracker(flow, report)
+
+
+def test_tracker_keeps_no_history_of_its_own():
+    # the flow's ring is a run's only history: besides small Gram matrices,
+    # the tracker holds its weights, their product and one difference row
+    grid = small_grid(16)
+    model = pfc(0.25)
+    scheme = lmm6_scheme()
+    report = certify_scheme(scheme, model.constants())
+    rng = np.random.default_rng(3)
+    u0 = 0.285 + 0.1 * rng.uniform(-1, 1, grid.shape)
+    flow = SpectralFlow(model, grid, scheme, 0.01, gauss_rk6_start(model, grid, u0, 0.01, 6))
+    tracker = pde._QuadFormTracker(flow, report)
+    for _ in range(scheme.k + 1):
+        flow.step()
+        tracker.push(flow)
+    arrays = {name: x for name, x in vars(tracker).items() if isinstance(x, np.ndarray)}
+    assert arrays
+    for name, x in arrays.items():
+        assert x.nbytes <= 3 * grid.k2.size * np.dtype(complex).itemsize, name
+
+
 def test_dissipation_within_certified_step_bound():
     # the theorem regime proper: tau at the certified bound
     grid = Grid((32, 32), (32.0, 32.0))
@@ -516,7 +549,7 @@ def test_modified_energy_dominates_energy_and_decays():
 def test_history_ring_matches_plain_transforms():
     # 2k+1 pushes wrap the k-slot ring twice: after each one, every slot
     # must read back the transforms of a plain list kept in lag order, and
-    # the tracker's rolling Gram matrices the ones of its differences
+    # the tracker's rolling Gram matrices the ones of that list's differences
     grid = small_grid(16)
     model = pfc(0.25)
     scheme = lmm6_scheme()
@@ -528,7 +561,9 @@ def test_history_ring_matches_plain_transforms():
         return np.cos(t) * mode, grid.fft(np.sin(t) * mode)
 
     rng = np.random.default_rng(11)
-    fields = [0.285 + 0.1 * rng.uniform(-1, 1, grid.shape) for _ in range(3 * k + 1)]
+    noise = [0.1 * rng.uniform(-1, 1, grid.shape) for _ in range(3 * k + 1)]
+    # one mean, as a mass-conserving run keeps it; the tracker checks this
+    fields = [0.285 + x - np.mean(x) for x in noise]
     flow = SpectralFlow(model, grid, scheme, 0.01, fields[:k], t0=0.5, source=source)
     tracker = pde._QuadFormTracker(flow, report)
     background = float(np.mean(fields[0]))
@@ -549,9 +584,7 @@ def test_history_ring_matches_plain_transforms():
             assert np.array_equal(flow.slot(i)[pde._F], f_hat)
             assert np.array_equal(flow.slot(i)[pde._G], g_lin)
             assert np.allclose(flow.state(i), fields[n - i], rtol=0, atol=1e-14)
-        deltas = tracker._delta[tracker.lags(flow.head)]
-        expected = [w_hats[n - i] - w_hats[n - i - 1] for i in range(k - 1)]
-        assert np.array_equal(deltas, expected)
+        deltas = np.array([w_hats[n - i] - w_hats[n - i - 1] for i in range(k - 1)])
         flat = deltas.view(np.float64).reshape(k - 1, -1)
         gram = (tracker.weights[:, None] * flat) @ flat.T
         assert np.max(np.abs(tracker.gram - gram)) <= 1e-12 * np.max(np.abs(gram))
@@ -732,14 +765,22 @@ def test_sourced_update_matches_full_spectrum_oracle(model):
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
-def test_non_finite_run_raises_with_step():
+@pytest.mark.parametrize(
+    "model, match",
+    [
+        (allen_cahn(0.25), "after step"),
+        # a radius no finite field reaches leaves the energy check to trip
+        (allen_cahn(0.25, radius=1e150), "energy is inf after step 11"),
+    ],
+    ids=["radius", "inf-energy"],
+)
+def test_non_finite_run_raises_with_step(model, match):
     # far beyond tau_max the Allen-Cahn run overflows within a few steps
     grid = small_grid(16)
-    model = allen_cahn(0.25)
     scheme = lmm6_scheme()
     report = certify_scheme(scheme, model.constants())
     u0 = 0.05 * np.random.default_rng(1).standard_normal(grid.shape)
-    with np.errstate(all="ignore"), pytest.raises(InvariantViolationError, match="after step"):
+    with np.errstate(all="ignore"), pytest.raises(InvariantViolationError, match=match):
         simulate(model, grid, scheme, report, u0, tau=50.0, n_steps=35)
 
 
