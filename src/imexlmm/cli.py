@@ -62,7 +62,12 @@ def _load_scheme(path: str) -> schemes.SchemeCoefficients:
         raise ValueError(f"malformed scheme file {path}: {exc!r}") from exc
 
 
-def _write_text(path: str, text: str):
+def _write_text(path: str | None, text: str):
+    """Write ``text`` to ``path`` (under the output directory), or to stdout
+    when no path is given."""
+    if not path:
+        print(text, end="")
+        return
     target = _out_path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(text)
@@ -91,10 +96,7 @@ def cmd_scheme(args) -> int:
         scheme = schemes.lmm6_scheme()
     scheme.validate()
     text = schemes.scheme_to_json(scheme) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        print(text, end="")
+    _write_text(args.out, text)
     return EXIT_OK
 
 
@@ -105,10 +107,7 @@ def cmd_certify(args) -> int:
     constants = certify.ModelConstants(ell_f=args.ell_f, zeta=args.zeta, eta=args.eta)
     report = certify.certify_scheme(scheme, constants, gamma_fraction=args.gamma_fraction)
     text = report.to_json(indent=2) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        print(text, end="")
+    _write_text(args.out, text)
     if report.refused:
         print(f"refused: {report.refusal_reason}", file=sys.stderr)
         return EXIT_REFUSED
@@ -137,10 +136,7 @@ def cmd_barrier_search(args) -> int:
         "evaluations": result.evaluations,
     }
     text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        print(text, end="")
+    _write_text(args.out, text)
     return EXIT_OK
 
 
@@ -220,11 +216,7 @@ def cmd_simulate(args) -> int:
             on_state=on_state,
         )
         trace = result.trace
-        header = (
-            f"model=pfc epsilon={model.epsilon} tau={args.tau} T={args.T} "
-            f"seed={args.seed} energy_offset={_fmt(result.energy_offset)} "
-            f"tau_max={_fmt(report.tau_max)}"
-        )
+        offset = f" energy_offset={_fmt(result.energy_offset)}"
     else:
         rng = np.random.default_rng(args.seed)
         u0 = 0.05 * rng.standard_normal(grid.shape)
@@ -232,10 +224,11 @@ def cmd_simulate(args) -> int:
         trace, _ = pde.simulate(
             model, grid, scheme, report, u0, args.tau, n_steps, on_state=on_state
         )
-        header = (
-            f"model={args.model} epsilon={model.epsilon} tau={args.tau} "
-            f"T={args.T} seed={args.seed} tau_max={_fmt(report.tau_max)}"
-        )
+        offset = ""
+    header = (
+        f"model={args.model} epsilon={model.epsilon} tau={args.tau} T={args.T} "
+        f"seed={args.seed}{offset} tau_max={_fmt(report.tau_max)}"
+    )
     trace.write_csv(_out_path(args.trace), header_comment=header)
     print(f"wrote {_out_path(args.trace)}")
     return EXIT_OK

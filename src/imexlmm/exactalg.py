@@ -15,11 +15,9 @@ class SingularMatrixError(ArithmeticError):
 
 
 def solve(matrix, rhs):
-    """Solve ``matrix @ x = rhs`` exactly; rhs may be a vector or a matrix."""
-    vector_rhs = not isinstance(rhs[0], (list, tuple))
-    cols = [[r] for r in rhs] if vector_rhs else [list(r) for r in rhs]
+    """Solve ``matrix @ X = rhs`` exactly for a matrix ``rhs`` (one row per equation)."""
     n = len(matrix)
-    aug = [list(matrix[i]) + cols[i] for i in range(n)]
+    aug = [list(matrix[i]) + list(rhs[i]) for i in range(n)]
     for c in range(n):
         pivot_row = next((r for r in range(c, n) if aug[r][c]), None)
         if pivot_row is None:
@@ -31,8 +29,7 @@ def solve(matrix, rhs):
             if r != c and aug[r][c]:
                 factor = aug[r][c]
                 aug[r] = [x - factor * y if y else x for x, y in zip(aug[r], aug[c])]
-    sol = [row[n:] for row in aug]
-    return [row[0] for row in sol] if vector_rhs else sol
+    return [row[n:] for row in aug]
 
 
 def matmul(a, b):

@@ -270,10 +270,13 @@ def gauss_rk6_start(
     ``source(t)``, when given, returns g(t) split as ``discrete_source`` does.
     Stage systems are solved by fixed-point iteration to max-norm residual
     1e-14; if an iteration refuses to contract, the substep is halved, down
-    to tau/64 before giving up.
+    to tau/64 before giving up.  A ``tau`` that is not positive (NaN
+    included) raises ValueError before any stage is solved.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
     background = _background(model, u0)
     mhat = model.m_symbol(grid.k2)
     mhat_lhat = mhat * model.l_symbol(grid.k2)
@@ -437,12 +440,11 @@ def simulate(
     when given, returns g(t) split as ``discrete_source`` does.  Returns
     (trace, flow); raises InvariantViolationError at the first state whose
     energy is not finite or whose max|u| reaches the model's truncation
-    radius, where the certificate no longer holds.  A ``tau`` that is not
-    positive or a negative ``n_steps`` (an end time inside the k-step
-    starting window) raises ValueError before the starter runs.
+    radius, where the certificate no longer holds.  A negative ``n_steps``
+    (an end time inside the k-step starting window) raises ValueError before
+    the starter runs, and a ``tau`` that is not positive raises it in the
+    starter, before any stage is solved.
     """
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
     if n_steps < 0:
         raise ValueError(f"n_steps = {n_steps}: T too short for the starting window")
     k = scheme.k

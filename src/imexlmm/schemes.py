@@ -10,8 +10,8 @@ enters until a caller asks for it.
 
 from __future__ import annotations
 
-import contextlib
 import functools
+import itertools
 import json
 import operator
 from dataclasses import dataclass
@@ -185,22 +185,15 @@ def series_map(k: int) -> tuple:
     """Exact affine map ``(M, c)`` from the free parameters to the series.
 
     For every w of length k, ``M w + c`` is ``a`` followed by ``b`` of
-    ``reform(lmm_from_parameters(w))``.  Built once per k and cached.
+    ``reform(lmm_from_parameters(w))``, read off ``parameter_map(k)`` by
+    ``reform``'s sums: each column of its linear part without the constant
+    shift, its constant part with it.  No table is built; cached per k.
     """
+    C, d = parameter_map(k)
+    A, B = slice(0, k + 1), slice(k + 1, 2 * k + 2)
+    columns = [sum(_series(col[A], col[B], 0), ()) for col in zip(*C)]
+    return tuple(zip(*columns)), sum(_series(d[A], d[B], 1), ())
 
-    def series(w):
-        r = reform(lmm_from_parameters(w))
-        return r.a + r.b
-
-    def column(j):
-        # A_0 and B_0 are affine in t and nonzero at t = 0 (BDF): each
-        # vanishes at one t at most, so one of three points is a valid table
-        for t in (1, 2, 3):
-            with contextlib.suppress(SchemeError):
-                return [(x - y) / t for x, y in zip(series([t * (i == j) for i in range(k)]), base)]
-
-    base = series([0] * k)
-    return tuple(zip(*map(column, range(k)))), base
 
 def lmm_from_parameters(w) -> SchemeCoefficients:
     """Scheme from free parameters: one exact evaluation of ``parameter_map``."""
@@ -243,20 +236,20 @@ def lmm6_scheme() -> SchemeCoefficients:
     return lmm_from_parameters(lmm6_parameters())
 
 
+def _series(A, B, shift) -> tuple:
+    """``a_i = sum_{j<=i} A_j`` and ``b_i = sum_{j<=i} B_j - shift*(1 - delta_{i0}/2)``
+    (i < k): the series of a table (shift 1) or of a linear-part column (shift 0)."""
+    b = [x - shift for x in itertools.accumulate(B[:-1])]
+    b[0] += Fraction(shift, 2)
+    return tuple(itertools.accumulate(A[:-1])), tuple(b)
+
+
 def reform(s: SchemeCoefficients) -> ReformedCoefficients:
     """Cumulative-sum coefficients (a, b, bhat) plus the tail weights chat."""
-    k = s.k
-    a = tuple(sum(s.A[: i + 1], Fraction(0)) for i in range(k))
-    b = tuple(
-        sum(s.B[: i + 1], Fraction(0)) - 1 + (Fraction(1, 2) if i == 0 else 0)
-        for i in range(k)
-    )
-    bhat = tuple(
-        sum(s.Bhat[:i], Fraction(0)) - 1 for i in range(1, k)
-    ) + (Fraction(0),)
-    chat = tuple(
-        sum(abs(bhat[j]) for j in range(i, k - 1)) / 2 for i in range(k - 1)
-    )
+    a, b = _series(s.A, s.B, 1)
+    bhat = tuple(x - 1 for x in itertools.accumulate(s.Bhat[:-1])) + (Fraction(0),)
+    tails = itertools.accumulate(abs(x) for x in reversed(bhat[:-1]))
+    chat = tuple(x / 2 for x in tails)[::-1]
     return ReformedCoefficients(a=a, b=b, bhat=bhat, chat=chat)
 
 

@@ -78,6 +78,19 @@ def test_certify_lmm6_report(tmp_path, lmm6_file):
     assert payload["tau_max"] > 0
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [(["scheme", "lmm6"], "A"),
+     (["barrier", "search", "--k", "2", "--budget", "60", "--seed", "1"], "w")],
+    ids=["scheme", "barrier-search"],
+)
+def test_json_goes_to_stdout_without_out(argv, key, capsys):
+    assert run(argv) == 0
+    config, _, text = capsys.readouterr().out.partition("\n")
+    assert config.startswith("# config:")
+    assert key in json.loads(text)
+
+
 def test_barrier_verify_prints_exact_value(capsys):
     assert run(["barrier", "verify"]) == 0
     out = capsys.readouterr().out
@@ -129,6 +142,20 @@ def test_simulate_trace_and_snapshots(tmp_path, lmm6_file, monkeypatch):
     sidecar = json.loads((tmp_path / "snapshot_000000.json").read_text())
     assert sidecar["grid"] == [32, 32]
     assert sidecar["domain"] == [32.0, 32.0]
+
+
+def test_simulate_ac_trace_header(tmp_path, lmm6_file):
+    trace = tmp_path / "trace.csv"
+    code = run([
+        "simulate", "--model", "ac", "--scheme", str(lmm6_file),
+        "--grid", "16", "--domain", "16", "--tau", "0.01", "--T", "0.1",
+        "--trace", str(trace),
+    ])
+    assert code == 0
+    header, columns = trace.read_text().splitlines()[:2]
+    assert header.startswith("# model=ac ")
+    assert "tau_max=" in header and "energy_offset" not in header
+    assert columns == "step,t,E,E_G,mass,max_abs"
 
 
 def test_converge_csv(tmp_path, lmm6_file):

@@ -292,6 +292,19 @@ def test_starter_accuracy_on_manufactured_solution():
     assert worst < 1e-13
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.5, float("nan")])
+def test_starter_refuses_nonpositive_tau(monkeypatch, tau):
+    # tau = 0 would return k copies of u0, tau < 0 states stepped backwards,
+    # and NaN a StarterFailureError after every halving
+    grid = small_grid(16)
+    u0 = 0.1 * np.sin(grid.coordinates()[0])
+    calls = []
+    monkeypatch.setattr(pde, "_stage_solver", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="tau must be positive"):
+        gauss_rk6_start(allen_cahn(0.1), grid, u0, tau=tau, k=3)
+    assert not calls
+
+
 def test_starter_k1_returns_initial_state():
     grid = small_grid(16)
     u0 = np.cos(grid.coordinates()[1])
@@ -810,10 +823,10 @@ def test_nonpositive_tau_is_a_usage_error_before_the_starter(monkeypatch, tau):
     scheme = bdf_coefficients(2)
     u0 = 0.1 * np.sin(grid.coordinates()[0])
 
-    def starter(*args, **kwargs):
-        raise AssertionError("the starter ran")
+    def stage_solver(*args, **kwargs):
+        raise AssertionError("the starter solved a stage")
 
-    monkeypatch.setattr(pde, "gauss_rk6_start", starter)
+    monkeypatch.setattr(pde, "_stage_solver", stage_solver)
     with pytest.raises(ValueError, match="tau must be positive"):
         simulate(model, grid, scheme, None, u0, tau=tau, n_steps=3)
     with pytest.raises(ValueError, match="tau must be positive"):

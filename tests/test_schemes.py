@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from imexlmm import schemes
 from imexlmm.schemes import (
     SchemeCoefficients,
     SchemeError,
@@ -189,11 +190,24 @@ def test_lmm6_parameters_literal():
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_series_map_reproduces_reformed_series(k):
-    # for odd k the table at the unit vector e_k has B_0 = 0, so that column
-    # comes from a scaled point
+    # reform of a built table is the oracle, equal as Fractions
     M, c = series_map(k)
     rng = random.Random(300 + k)
     for _ in range(10):
         w = [F(rng.randint(-400, 400), rng.randint(1, 30)) for _ in range(k)]
         r = reform(lmm_from_parameters(w))
         assert [ci + sum(m * x for m, x in zip(row, w)) for row, ci in zip(M, c)] == list(r.a + r.b)
+
+
+def test_series_map_builds_no_table(monkeypatch):
+    # the series are reform's sums of parameter_map: no table is built, so
+    # no SchemeError can occur (for odd k the table at e_k has B_0 = 0)
+    def refuse(*args, **kwargs):
+        raise AssertionError("series_map built a table")
+
+    for name in ("lmm_from_parameters", "reform", "SchemeCoefficients"):
+        monkeypatch.setattr(schemes, name, refuse)
+    series_map.cache_clear()
+    for k in range(1, 9):
+        M, c = series_map(k)
+        assert len(M) == len(c) == 2 * k and all(len(row) == k for row in M)

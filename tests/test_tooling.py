@@ -84,3 +84,22 @@ def test_dataclass_fields_are_read():
     assert fields
     unread = [field for field in fields if field.rsplit(".", 1)[1] not in read]
     assert not unread, f"dataclass fields never read: {unread}"
+
+
+def test_module_imports_are_read():
+    # an import whose last reader is deleted fails here; __init__.py only
+    # re-exports, so it is not checked
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unread += [f"{path.name}:{name}" for name in names if name not in read]
+    assert not unread, f"imports never read: {unread}"
