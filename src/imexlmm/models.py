@@ -30,7 +30,6 @@ __all__ = [
     "allen_cahn",
     "cahn_hilliard",
     "pfc",
-    "cubic_lipschitz_bound",
 ]
 
 IMAG_RESIDUE_TOL = 1e-12
@@ -105,26 +104,27 @@ class Grid:
         """Transform axes: the trailing dim ones, so stacks transform too."""
         return tuple(range(-self.dim, 0))
 
-    def fft(self, u: np.ndarray) -> np.ndarray:
-        """Half spectrum of the real field u (or of a stack of fields)."""
-        return np.fft.rfftn(u, axes=self.axes)
+    def fft(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Half spectrum of the real field u (or of a stack of fields), into ``out``."""
+        return np.fft.rfftn(u, axes=self.axes, out=out)
 
     def ifft(self, u_hat: np.ndarray) -> np.ndarray:
-        """Real field of the half spectrum u_hat.
+        """Real field of the half spectrum u_hat, by ``irfftn``'s own passes.
 
-        The inverse keeps only the Hermitian part of the self-conjugate
-        planes (last-axis index 0 and n/2).  Their anti-Hermitian part is
-        what leaves an imaginary residue in a full complex inverse; that
-        residue is measured with (d-1)-dimensional inverses of the two
-        planes and rejected when above tolerance.
+        The real inverse of the last axis keeps only the Hermitian part of
+        the self-conjugate planes (last-axis index 0 and n/2).  Their
+        anti-Hermitian part, the imaginary residue of a full complex inverse,
+        is read off the two planes after the leading axes' complex inverses
+        and rejected when above tolerance.
         """
-        v = np.fft.irfftn(u_hat, s=self.shape, axes=self.axes)
         n = self.shape[-1]
-        planes = np.fft.ifftn(u_hat[..., :: n // 2], axes=self.axes[:-1])
+        for axis in self.axes[:-1]:
+            u_hat = np.fft.ifft(u_hat, self.shape[axis], axis)
         # plane 0 enters the full inverse with weight 1/n, plane n/2 with
         # (-1)^x / n, so the worst residue over x adds their magnitudes
-        imag = np.abs(planes.imag)
+        imag = np.abs(u_hat[..., :: n // 2].imag)
         imag_max = float(np.max(imag[..., 0] + imag[..., 1])) / n
+        v = np.fft.irfft(u_hat, n, -1)
         # the tolerance scales by max(1, max|v|), which matters only above the bare one
         scale = 1.0 if imag_max <= IMAG_RESIDUE_TOL else max(1.0, float(np.max(np.abs(v))))
         if imag_max > IMAG_RESIDUE_TOL * scale:
@@ -160,10 +160,23 @@ class ModelSpec:
         return ModelConstants(ell_f=self.ell_f, zeta=self.zeta, eta=self.eta)
 
 
-def cubic_lipschitz_bound(linear_coefficient: float, radius: float) -> float:
-    """max over [-R, R] of |3 s^2 - c| for f(s) = s^3 - c s."""
-    c = linear_coefficient
-    return max(abs(c), abs(3.0 * radius ** 2 - c))
+def _cubic(c: float, radius: float) -> dict:
+    """f(u) = u^3 - c u and its potential (u^2 - c)^2 / 4, each made in one fresh array
+    in the plain expressions' order, and f's Lipschitz bound max |3 s^2 - c| on [-R, R]."""
+    def f(u):
+        v = u * u
+        v *= u
+        v -= c * u
+        return v
+
+    def potential(u):
+        v = u * u
+        v -= c
+        v *= v
+        v *= 0.25
+        return v
+    return dict(f=f, potential=potential, ell_f=max(abs(c), abs(3.0 * radius ** 2 - c)),
+                truncation_radius=radius)
 
 
 def allen_cahn(epsilon: float, radius: float = 2.0) -> ModelSpec:
@@ -172,13 +185,10 @@ def allen_cahn(epsilon: float, radius: float = 2.0) -> ModelSpec:
         epsilon=epsilon,
         m_symbol=lambda k2: -np.ones_like(k2),
         l_symbol=lambda k2: epsilon ** 2 * k2,
-        f=lambda u: u * u * u - u,
-        potential=lambda u: 0.25 * (u ** 2 - 1.0) ** 2,
-        ell_f=cubic_lipschitz_bound(1.0, radius),
+        **_cubic(1.0, radius),
         zeta=1.0,
         eta=1.0,
         mass_conserving=False,
-        truncation_radius=radius,
     )
 
 
@@ -188,13 +198,10 @@ def cahn_hilliard(epsilon: float, radius: float = 2.0) -> ModelSpec:
         epsilon=epsilon,
         m_symbol=lambda k2: -k2,
         l_symbol=lambda k2: epsilon ** 2 * k2,
-        f=lambda u: u * u * u - u,
-        potential=lambda u: 0.25 * (u ** 2 - 1.0) ** 2,
-        ell_f=cubic_lipschitz_bound(1.0, radius),
+        **_cubic(1.0, radius),
         zeta=epsilon ** -0.5,
         eta=0.5,
         mass_conserving=True,
-        truncation_radius=radius,
     )
 
 
@@ -207,13 +214,10 @@ def pfc(epsilon: float, radius: float = 2.0) -> ModelSpec:
         epsilon=epsilon,
         m_symbol=lambda k2: -k2,
         l_symbol=lambda k2: (1.0 - k2) ** 2 + 1.0,
-        f=lambda u: u * u * u - (epsilon + 1.0) * u,
-        potential=lambda u: 0.25 * (u ** 2 - (1.0 + epsilon)) ** 2,
-        ell_f=cubic_lipschitz_bound(epsilon + 1.0, radius),
+        **_cubic(epsilon + 1.0, radius),
         zeta=(2.0 * np.sqrt(2.0) - 2.0) ** -0.25,
         eta=0.5,
         mass_conserving=True,
-        truncation_radius=radius,
     )
 
 

@@ -108,7 +108,8 @@ class SpectralFlow:
     part of g (see ``discrete_source``); ``flat`` views the ring as float
     rows by slot and ``deviations`` its k deviation rows.  Getters return
     views, which ``push`` overwrites k states later; ``state(back)`` inverts
-    on demand and returns the full field.
+    on demand and returns the full field.  ``step`` writes w^{n+1} straight
+    into the oldest slot, once its matmul has read it, and copies no spectrum.
 
     Per mode the update is pivot * w^{n+1} = sum_i c_i w^{n+1-i}
     + d_i f^{n+1-i} + tau Bhat_i g^{n+1-i}, with pivot = A_0 - tau m B_0 l
@@ -127,10 +128,8 @@ class SpectralFlow:
             raise ValueError(f"the flow needs exactly k={k} states")
         self.model, self.grid, self.scheme, self.source = model, grid, scheme, source
         self.tau, self.t0 = float(tau), float(t0)
-        A = [float(x) for x in scheme.A]
-        B = [float(x) for x in scheme.B]
-        self.mhat = model.m_symbol(grid.k2)
-        self.lhat = model.l_symbol(grid.k2)
+        A, B = ([float(x) for x in c] for c in (scheme.A, scheme.B))
+        self.mhat, self.lhat = model.m_symbol(grid.k2), model.l_symbol(grid.k2)
         tml = self.tau * self.mhat * self.lhat
         pivot = A[0] - B[0] * tml
         floor = 1e-14 * (abs(A[0]) + np.abs(B[0] * tml))
@@ -146,8 +145,8 @@ class SpectralFlow:
         lag[1, :, _W] = A[1:]
         for row in range(_F, rows):
             lag[row + 1, :, row] = [float(x) for x in scheme.Bhat]
-        self._slot_coef = [lag[:, (head - np.arange(k)) % k].reshape(rows + 1, -1)
-                           for head in range(k)]
+        self.lags = (np.arange(k)[:, None] - np.arange(k)) % k    # by (head, slot)
+        self._slot_coef = [lag[:, lags].reshape(rows + 1, -1) for lags in self.lags]
         self._ring = np.zeros((k, rows) + grid.k2.shape, dtype=complex)
         self.flat = self._ring.view(np.float64).reshape(k * rows, -1)
         self.deviations = self.flat[_W::rows]
@@ -176,25 +175,22 @@ class SpectralFlow:
         self.n += 1
         self.head = self.n % self.k     # slot of the newest state
         slot = self._ring[self.head]
-        slot[_W] = w_hat
+        slot[_W] = w_hat        # a no-op for the slot's own row, as ``step`` passes it
         f = self.model.f(u)
         if self.source is not None:
             f_star, slot[_G] = self.source(self.time())
             f = f - f_star
-        slot[_F] = self.grid.fft(f)
+        self.grid.fft(f, out=slot[_F])
 
     def step(self) -> np.ndarray:
-        """Advance one multistep update; returns the new full field.
-
-        The new transform is the solved right-hand side itself, so a step
-        costs one inverse transform (for f(u)) and one forward one (of f(u),
-        less f(u*) with a source).
-        """
-        rhs = np.einsum("rm,rm->m", self.symbols, self._slot_coef[self.head] @ self.flat)
-        rhs = rhs.view(complex).reshape(self.grid.k2.shape)
-        u = self.grid.ifft(rhs)
+        """Advance one multistep update; returns the new full field.  It costs
+        one checked inverse transform (for f(u)) and one forward one (of f(u),
+        less f(u*) with a source)."""
+        sums, oldest = self._slot_coef[self.head] @ self.flat, (self.head + 1) % self.k
+        np.einsum("rm,rm->m", self.symbols, sums, out=self.deviations[oldest])
+        u = self.grid.ifft(self._ring[oldest, _W])
         u += self.background
-        self.push(rhs, u)
+        self.push(self._ring[oldest, _W], u)
         return u
 
 
@@ -344,54 +340,56 @@ def modified_energy(flow: SpectralFlow, report: DissipationReport) -> float:
     if report.refused:
         raise ValueError("cannot form modified energy: " + (report.refusal_reason or ""))
     e = energy(flow.model, flow.grid, flow.state(0))
-    if flow.k == 1:
-        return e
-    return e + _QuadFormTracker(flow, report).quadratic_parts()
+    return e + (_QuadFormTracker(flow, report).quadratic_parts() if flow.k > 1 else 0.0)
 
 
 class _QuadFormTracker:
-    """Rolling Gram matrices for the per-step modified energy.
+    """Rolling Gram matrices for the per-step modified energy, in the slot
+    order of the flow's ring: slot s stands for du_s = w_s - w_{s-1}.
 
-    Each new state shifts every pairwise inner product by one lag, so only
-    the new row is computed per step, from the flow's ring itself: the
-    newest difference du_1 = w^n - w^{n-1}, weighted by M^{-1}, L and the
-    identity into a preallocated buffer, goes by one real matmul against the
-    flow's k deviation rows, and (W du_1, du_j) = (W du_1, w^{n+1-j}) -
-    (W du_1, w^{n-j}) are the differences of adjacent lags.  Building one
-    checks that no difference of a mass-conserving run carries mean.
+    Each new state writes only the row and column of the head's slot, from
+    the flow's ring itself: the newest difference du_1 = w^n - w^{n-1},
+    weighted by M^{-1}, L and the identity into a preallocated buffer, goes
+    by one real matmul against the flow's k deviation rows, and (W du_1,
+    du_s) = (W du_1, w_s) - (W du_1, w_{s-1}).  The oldest slot's difference
+    reaches out of the ring; each head's slot-ordered coefficients give it
+    zero weight.  Building one seeds the Gram through ``push`` and checks
+    that no difference of a mass-conserving run carries mean.
     """
 
     def __init__(self, flow: SpectralFlow, report: DissipationReport):
-        mhat, lhat = flow.mhat, flow.lhat
+        mhat, lhat, k = flow.mhat, flow.lhat, flow.k
         inv_m = np.divide(1.0, mhat, out=np.zeros_like(mhat), where=mhat != 0.0)
         self.weights = _spectral_weights(flow.grid, inv_m, lhat, np.ones_like(lhat))
-        self._product = np.empty_like(self.weights)
-        self._du = np.empty_like(self.weights[0])
-        # Gram coefficients of E_G - E, in the order of self.gram
-        self.coef = np.stack([
+        self._product, self._du = np.empty_like(self.weights), np.empty_like(self.weights[0])
+        # Gram coefficients of E_G - E by lag, zero at lag k - 1; by slot per head
+        by_lag = np.pad([
             -np.asarray(report.G_a, dtype=float) / flow.tau,
             np.asarray(report.G_b, dtype=float),
             report.constants.ell_f * np.diag(np.asarray(reform(flow.scheme).chat, dtype=float)),
-        ])
-        w = flow.deviations[(flow.head - np.arange(flow.k)) % flow.k]    # by lag
-        deltas = w[:-1] - w[1:]      # du_1 .. du_{k-1}, then dropped
-        mean = np.max(np.hypot(deltas[:, 0], deltas[:, 1])) / flow.grid.npoints
+        ], ((0, 0), (0, 1), (0, 1)))
+        self.coef = np.stack([by_lag[:, lags][:, :, lags] for lags in flow.lags])
+        self.gram = np.zeros((3, k, k))
+        mean = 0.0
+        for s in (flow.head + np.arange(2, k + 1)) % k:    # the k - 1 differences, oldest first
+            self.push(flow, s)
+            mean = max(mean, np.hypot(*self._du[:2]) / flow.grid.npoints)
         if flow.model.mass_conserving and mean > ZERO_MEAN_TOL:
             raise InvariantViolationError(
                 f"state difference has mean {mean:.3e} under a mass-conserving model"
             )
-        self.gram = (self.weights[:, None] * deltas) @ deltas.T   # by lag
 
-    def push(self, flow: SpectralFlow):
-        """Shift in the Gram row of the flow's newest difference."""
-        w, lags = flow.deviations, (flow.head - np.arange(flow.k)) % flow.k
-        np.subtract(w[lags[0]], w[lags[1]], out=self._du)
-        dots = (np.multiply(self.weights, self._du, out=self._product) @ w.T)[:, lags]
-        self.gram[:, 1:, 1:] = self.gram[:, :-1, :-1].copy()
-        self.gram[:, 0, :] = self.gram[:, :, 0] = dots[:, :-1] - dots[:, 1:]
+    def push(self, flow: SpectralFlow, slot=None):
+        """Write the Gram row and column of the difference at ``slot``, by
+        default the head's (the flow's newest, whose coefficients then apply)."""
+        w = flow.deviations
+        s = self.head = flow.head if slot is None else slot
+        np.subtract(w[s], w[s - 1], out=self._du)
+        dots = np.multiply(self.weights, self._du, out=self._product) @ w.T
+        self.gram[:, s, :] = self.gram[:, :, s] = dots - dots[:, np.arange(flow.k) - 1]
 
     def quadratic_parts(self) -> float:
-        return float(np.sum(self.coef * self.gram))
+        return float(np.sum(self.coef[self.head] * self.gram))
 
 
 @dataclass
@@ -549,7 +547,6 @@ def convergence_study(
     k = scheme.k
     source = discrete_source(model, grid, solution)
     rows = []
-    prev = None
     for N in n_list:
         if N < k:
             raise ValueError(f"need at least k={k} steps, got {N}")
@@ -568,13 +565,12 @@ def convergence_study(
             source=source, on_state=measure,
         )
         rate_inf = rate_two = None
-        if prev is not None:
+        if rows:
+            prev = rows[-1]
             span = np.log(N / prev.n_steps)
             rate_inf = float(np.log(prev.error_inf / e_inf) / span)
             rate_two = float(np.log(prev.error_two / e_two) / span)
-        row = ConvergenceRow(N, tau, e_inf, rate_inf, e_two, rate_two)
-        rows.append(row)
-        prev = row
+        rows.append(ConvergenceRow(N, tau, e_inf, rate_inf, e_two, rate_two))
     return rows
 
 

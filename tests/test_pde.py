@@ -81,24 +81,32 @@ def test_grid_parseval_identity(dim):
         assert np.max(np.abs(grid.ifft(grid.fft(u)) - u)) < 1e-13
 
 
-def test_grid_ifft_rejects_anti_hermitian_planes():
+@pytest.mark.parametrize("dim, stack", [(1, ()), (2, ()), (3, ()), (2, (3,))],
+                         ids=["1d", "2d", "3d", "2d-stack"])
+def test_grid_ifft_rejects_anti_hermitian_planes(dim, stack):
     # the self-conjugate planes (last-axis index 0 and n/2) of a half
     # spectrum must be Hermitian on their own; a full inverse would turn
-    # their anti-Hermitian part into an imaginary residue
-    grid = small_grid(16)
-    u = np.random.default_rng(9).standard_normal(grid.shape)
+    # their anti-Hermitian part into an imaginary residue.  The residue is
+    # read off the inverse's own intermediate, and the field is irfftn's
+    shape = GRID_SHAPES[dim]
+    grid = Grid(shape, (2 * np.pi, 3.0, 5.0)[:dim])
+    u = np.random.default_rng(9).standard_normal(stack + shape)
     u_hat = grid.fft(u)
+    assert np.array_equal(grid.ifft(u_hat), np.fft.irfftn(u_hat, shape, grid.axes))
     assert np.max(np.abs(grid.ifft(u_hat) - u)) < 1e-14
+    buf = np.empty_like(u_hat)
+    assert grid.fft(u, out=buf) is buf and np.array_equal(buf, u_hat)
 
-    imaginary_mean = u_hat.copy()
-    imaginary_mean[0, 0] += 1e-6j * grid.npoints
-    with pytest.raises(HermitianViolationError):
-        grid.ifft(imaginary_mean)
-
-    broken_pair = u_hat.copy()  # (3, n/2) no longer conjugate to (-3, n/2)
-    broken_pair[3, -1] += 1e-6 * grid.npoints
-    with pytest.raises(HermitianViolationError):
-        grid.ifft(broken_pair)
+    origin = (0,) * len(stack + shape)
+    nyquist = origin[:-1] + (-1,)
+    broken = [(origin, 1e-6j), (nyquist, 1e-6j)]    # imaginary mean and Nyquist mode
+    if dim > 1:     # (1, n/2) no longer conjugate to (-1, n/2)
+        broken.append((origin[:-2] + (1, -1), 1e-6))
+    for index, kick in broken:
+        bad = u_hat.copy()
+        bad[index] += kick * grid.npoints
+        with pytest.raises(HermitianViolationError):
+            grid.ifft(bad)
 
 
 def test_grid_validation():
@@ -147,6 +155,19 @@ def test_interpolation_inequality_pfc():
 
 def test_pfc_lipschitz_constant():
     assert pfc(0.25, radius=2.0).ell_f == pytest.approx(10.75, abs=1e-14)
+
+
+@pytest.mark.parametrize("model, c", [(allen_cahn(0.05), 1.0), (cahn_hilliard(0.5), 1.0),
+                                      (pfc(0.25), 1.25)], ids=["ac", "ch", "pfc"])
+@pytest.mark.parametrize("stack", [(), (3,)], ids=["field", "stack"])
+def test_cubic_matches_the_plain_expressions(model, c, stack):
+    # f and the potential are formed in place in one fresh array; they must
+    # equal the plain expressions bit for bit and leave the input alone
+    u = np.random.default_rng(21).uniform(-1.5, 1.5, stack + (16, 8))
+    kept = u.copy()
+    assert np.array_equal(model.f(u), u * u * u - c * u)
+    assert np.array_equal(model.potential(u), 0.25 * (u ** 2 - c) ** 2)
+    assert np.array_equal(u, kept)
 
 
 # ---------------------------------------------------------------- stepping
@@ -562,7 +583,9 @@ def test_modified_energy_dominates_energy_and_decays():
 def test_history_ring_matches_plain_transforms():
     # 2k+1 pushes wrap the k-slot ring twice: after each one, every slot
     # must read back the transforms of a plain list kept in lag order, and
-    # the tracker's rolling Gram matrices the ones of that list's differences
+    # the tracker's slot-ordered Gram matrices, read by lag through the
+    # flow's head, the ones of that list's differences; the oldest slot's
+    # difference reaches out of the ring and must carry no coefficient
     grid = small_grid(16)
     model = pfc(0.25)
     scheme = lmm6_scheme()
@@ -600,7 +623,12 @@ def test_history_ring_matches_plain_transforms():
         deltas = np.array([w_hats[n - i] - w_hats[n - i - 1] for i in range(k - 1)])
         flat = deltas.view(np.float64).reshape(k - 1, -1)
         gram = (tracker.weights[:, None] * flat) @ flat.T
-        assert np.max(np.abs(tracker.gram - gram)) <= 1e-12 * np.max(np.abs(gram))
+        lags = (flow.head - np.arange(k)) % k
+        by_lag = tracker.gram[:, lags][:, :, lags]
+        assert np.max(np.abs(by_lag[:, :-1, :-1] - gram)) <= 1e-12 * np.max(np.abs(gram))
+        coef = tracker.coef[flow.head]
+        assert not np.any(coef[:, lags[-1]]) and not np.any(coef[:, :, lags[-1]])
+        assert np.any(coef[:, lags[:-1]][:, :, lags[:-1]])
 
 
 @pytest.mark.parametrize("with_source", [False, True])
@@ -656,42 +684,55 @@ def test_loop_energy_matches_energy_of_the_full_field(model, certified):
         assert e == pytest.approx(energy(model, grid, u), rel=1e-13)
 
 
-def _count_update_transforms(monkeypatch):
-    """Counts of multistep updates and of the FFTs taken inside them."""
-    counts = {"steps": 0, "ffts": 0, "inside": False}
+def _record_update_transforms(monkeypatch):
+    """FFT calls by multistep update as (name, shape of the input): those
+    inside the update and those of ``energy`` calls up to the next one."""
+    updates, inside = [], [False]
 
-    def counted(fn):
+    def recorded(name, fn):
         def wrapper(*args, **kwargs):
-            counts["ffts"] += counts["inside"]
+            if inside[0] and updates:
+                updates[-1].append((name, np.shape(args[0])))
             return fn(*args, **kwargs)
         return wrapper
 
     def spanned(fn, is_step):
         def wrapper(*args, **kwargs):
-            counts["steps"] += is_step
-            counts["inside"] = counts["steps"] > 0   # from the first update on
+            if is_step:
+                updates.append([])
+            inside[0] = True
             try:
                 return fn(*args, **kwargs)
             finally:
-                counts["inside"] = False
+                inside[0] = False
         return wrapper
 
     for name in FFT_NAMES:
-        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        monkeypatch.setattr(np.fft, name, recorded(name, getattr(np.fft, name)))
     monkeypatch.setattr(pde.SpectralFlow, "step", spanned(pde.SpectralFlow.step, True))
     monkeypatch.setattr(pde, "energy", spanned(pde.energy, False))
-    return counts
+    return updates
 
 
 FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
              "rfft", "rfft2", "rfftn", "irfft", "irfft2", "irfftn")
 
 
-def test_multistep_update_costs_three_transforms(monkeypatch):
-    # per update: one inverse transform for f(u) with its residue check of
-    # the self-conjugate planes, one forward transform of f(u); the energy
-    # and the Gram tracker reuse the transforms in hand
-    counts = _count_update_transforms(monkeypatch)
+def _assert_one_split_inverse_and_one_forward(updates, grid, steps):
+    # per update: the checked inverse as irfftn runs it, 1-D complex passes
+    # over the leading grid axes and then one real pass, each taking the
+    # whole half spectrum (the residue check of the self-conjugate planes
+    # reads their intermediate, so no call takes a plane slice), then one
+    # forward transform of f(u)
+    half = grid.shape[:-1] + (grid.shape[-1] // 2 + 1,)
+    per_update = [("ifft", half)] * (grid.dim - 1) + [("irfft", half), ("rfftn", grid.shape)]
+    assert len(updates) == steps
+    assert all(update == per_update for update in updates)
+
+
+def test_multistep_update_costs_one_split_inverse_and_one_forward_transform(monkeypatch):
+    # the energy and the Gram tracker reuse the transforms in hand
+    updates = _record_update_transforms(monkeypatch)
     grid = Grid((32, 32), (32.0, 32.0))
     model = pfc(0.25)
     scheme = lmm6_scheme()
@@ -699,18 +740,16 @@ def test_multistep_update_costs_three_transforms(monkeypatch):
     u0 = 0.285 + 0.1 * np.random.default_rng(5).uniform(-1, 1, grid.shape)
     trace, _ = simulate(model, grid, scheme, report, u0, tau=0.01, n_steps=12)
     assert np.isfinite(trace.modified_energy[-1])
-    assert counts["steps"] == 12
-    assert counts["ffts"] == 3 * 12
+    _assert_one_split_inverse_and_one_forward(updates, grid, 12)
 
 
-def test_sourced_update_costs_three_transforms(monkeypatch):
+def test_sourced_update_costs_one_split_inverse_and_one_forward_transform(monkeypatch):
     # the manufactured source takes no transform per time: the flow subtracts
     # f(u*) from f(u) before the forward transform it takes anyway
-    counts = _count_update_transforms(monkeypatch)
+    updates = _record_update_transforms(monkeypatch)
     grid = small_grid(32)
     convergence_study(allen_cahn(0.01), grid, lmm6_scheme(), trig_mode_solution(grid), [8, 10])
-    assert counts["steps"] == (8 - 5) + (10 - 5)
-    assert counts["ffts"] == 3 * counts["steps"]
+    _assert_one_split_inverse_and_one_forward(updates, grid, (8 - 5) + (10 - 5))
 
 
 def test_sourced_gauss_sweep_costs_as_many_transforms_as_unsourced(monkeypatch):
