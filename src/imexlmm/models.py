@@ -30,6 +30,7 @@ __all__ = [
     "allen_cahn",
     "cahn_hilliard",
     "pfc",
+    "cubic_lipschitz_bound",
 ]
 
 IMAG_RESIDUE_TOL = 1e-12
@@ -160,9 +161,15 @@ class ModelSpec:
         return ModelConstants(ell_f=self.ell_f, zeta=self.zeta, eta=self.eta)
 
 
+def cubic_lipschitz_bound(linear_coefficient: float, radius: float) -> float:
+    """max over [-R, R] of |3 s^2 - c| for f(s) = s^3 - c s."""
+    c = linear_coefficient
+    return max(abs(c), abs(3.0 * radius ** 2 - c))
+
+
 def _cubic(c: float, radius: float) -> dict:
     """f(u) = u^3 - c u and its potential (u^2 - c)^2 / 4, each made in one fresh array
-    in the plain expressions' order, and f's Lipschitz bound max |3 s^2 - c| on [-R, R]."""
+    in the plain expressions' order, and f's Lipschitz bound on [-R, R]."""
     def f(u):
         v = u * u
         v *= u
@@ -175,7 +182,7 @@ def _cubic(c: float, radius: float) -> dict:
         v *= v
         v *= 0.25
         return v
-    return dict(f=f, potential=potential, ell_f=max(abs(c), abs(3.0 * radius ** 2 - c)),
+    return dict(f=f, potential=potential, ell_f=cubic_lipschitz_bound(c, radius),
                 truncation_radius=radius)
 
 

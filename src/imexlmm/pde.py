@@ -128,8 +128,10 @@ class SpectralFlow:
             raise ValueError(f"the flow needs exactly k={k} states")
         self.model, self.grid, self.scheme, self.source = model, grid, scheme, source
         self.tau, self.t0 = float(tau), float(t0)
-        A, B = ([float(x) for x in c] for c in (scheme.A, scheme.B))
-        self.mhat, self.lhat = model.m_symbol(grid.k2), model.l_symbol(grid.k2)
+        A = [float(x) for x in scheme.A]
+        B = [float(x) for x in scheme.B]
+        self.mhat = model.m_symbol(grid.k2)
+        self.lhat = model.l_symbol(grid.k2)
         tml = self.tau * self.mhat * self.lhat
         pivot = A[0] - B[0] * tml
         floor = 1e-14 * (abs(A[0]) + np.abs(B[0] * tml))
@@ -183,10 +185,16 @@ class SpectralFlow:
         self.grid.fft(f, out=slot[_F])
 
     def step(self) -> np.ndarray:
-        """Advance one multistep update; returns the new full field.  It costs
-        one checked inverse transform (for f(u)) and one forward one (of f(u),
-        less f(u*) with a source)."""
-        sums, oldest = self._slot_coef[self.head] @ self.flat, (self.head + 1) % self.k
+        """Advance one multistep update; returns the new full field.
+
+        The solved right-hand side is written into the oldest slot and is
+        the new transform itself, so a step costs one checked inverse
+        transform (for f(u)) and one forward one (of f(u), less f(u*) with a
+        source).  The oldest state is overwritten before the inverse checks
+        the solve, so a step that raises leaves the flow unusable.
+        """
+        sums = self._slot_coef[self.head] @ self.flat
+        oldest = (self.head + 1) % self.k
         np.einsum("rm,rm->m", self.symbols, sums, out=self.deviations[oldest])
         u = self.grid.ifft(self._ring[oldest, _W])
         u += self.background
@@ -340,7 +348,7 @@ def modified_energy(flow: SpectralFlow, report: DissipationReport) -> float:
     if report.refused:
         raise ValueError("cannot form modified energy: " + (report.refusal_reason or ""))
     e = energy(flow.model, flow.grid, flow.state(0))
-    return e + (_QuadFormTracker(flow, report).quadratic_parts() if flow.k > 1 else 0.0)
+    return e + _QuadFormTracker(flow, report).quadratic_parts(flow)
 
 
 class _QuadFormTracker:
@@ -353,15 +361,17 @@ class _QuadFormTracker:
     by one real matmul against the flow's k deviation rows, and (W du_1,
     du_s) = (W du_1, w_s) - (W du_1, w_{s-1}).  The oldest slot's difference
     reaches out of the ring; each head's slot-ordered coefficients give it
-    zero weight.  Building one seeds the Gram through ``push`` and checks
-    that no difference of a mass-conserving run carries mean.
+    zero weight.  Building one forms the first Gram from the window's k - 1
+    differences, one weight at a time, and checks that no difference of a
+    mass-conserving run carries mean.
     """
 
     def __init__(self, flow: SpectralFlow, report: DissipationReport):
         mhat, lhat, k = flow.mhat, flow.lhat, flow.k
         inv_m = np.divide(1.0, mhat, out=np.zeros_like(mhat), where=mhat != 0.0)
         self.weights = _spectral_weights(flow.grid, inv_m, lhat, np.ones_like(lhat))
-        self._product, self._du = np.empty_like(self.weights), np.empty_like(self.weights[0])
+        self._product = np.empty_like(self.weights)
+        self._du = np.empty_like(self.weights[0])
         # Gram coefficients of E_G - E by lag, zero at lag k - 1; by slot per head
         by_lag = np.pad([
             -np.asarray(report.G_a, dtype=float) / flow.tau,
@@ -369,27 +379,27 @@ class _QuadFormTracker:
             report.constants.ell_f * np.diag(np.asarray(reform(flow.scheme).chat, dtype=float)),
         ], ((0, 0), (0, 1), (0, 1)))
         self.coef = np.stack([by_lag[:, lags][:, :, lags] for lags in flow.lags])
-        self.gram = np.zeros((3, k, k))
-        mean = 0.0
-        for s in (flow.head + np.arange(2, k + 1)) % k:    # the k - 1 differences, oldest first
-            self.push(flow, s)
-            mean = max(mean, np.hypot(*self._du[:2]) / flow.grid.npoints)
+        slots = (flow.head - np.arange(k)) % k      # by lag
+        w = flow.deviations[slots]
+        deltas = w[:-1] - w[1:]      # du_1 .. du_{k-1}, at slots[:-1]
+        mean = np.max(np.hypot(deltas[:, 0], deltas[:, 1]), initial=0.0) / flow.grid.npoints
         if flow.model.mass_conserving and mean > ZERO_MEAN_TOL:
             raise InvariantViolationError(
                 f"state difference has mean {mean:.3e} under a mass-conserving model"
             )
+        self.gram = np.zeros((3, k, k))
+        for gram, weight in zip(self.gram, self.weights):   # no (3, k, modes) temporary
+            gram[np.ix_(slots[:-1], slots[:-1])] = (weight * deltas) @ deltas.T
 
-    def push(self, flow: SpectralFlow, slot=None):
-        """Write the Gram row and column of the difference at ``slot``, by
-        default the head's (the flow's newest, whose coefficients then apply)."""
-        w = flow.deviations
-        s = self.head = flow.head if slot is None else slot
+    def push(self, flow: SpectralFlow):
+        """Write the Gram row and column of the flow's newest difference."""
+        w, s = flow.deviations, flow.head
         np.subtract(w[s], w[s - 1], out=self._du)
         dots = np.multiply(self.weights, self._du, out=self._product) @ w.T
         self.gram[:, s, :] = self.gram[:, :, s] = dots - dots[:, np.arange(flow.k) - 1]
 
-    def quadratic_parts(self) -> float:
-        return float(np.sum(self.coef[self.head] * self.gram))
+    def quadratic_parts(self, flow: SpectralFlow) -> float:
+        return float(np.sum(self.coef[flow.head] * self.gram))
 
 
 @dataclass
@@ -450,7 +460,7 @@ def simulate(
     flow = SpectralFlow(model, grid, scheme, tau, states, source=source)
     radius = model.truncation_radius
     certified = report is not None and not report.refused
-    tracker = _QuadFormTracker(flow, report) if certified and k > 1 else None
+    tracker = _QuadFormTracker(flow, report) if certified else None
     lweight = _spectral_weights(grid, flow.lhat)[0]
     trace = EnergyTrace()
 
@@ -468,7 +478,7 @@ def simulate(
             )
         eg = float("nan")
         if certified and step >= k - 1:
-            eg = e + (tracker.quadratic_parts() if tracker else 0.0)
+            eg = e + tracker.quadratic_parts(flow)
         trace.append(step, t, e, eg, float(np.mean(u)), max_abs)
         if on_state is not None:
             on_state(step, t, u)
@@ -547,6 +557,7 @@ def convergence_study(
     k = scheme.k
     source = discrete_source(model, grid, solution)
     rows = []
+    prev = None
     for N in n_list:
         if N < k:
             raise ValueError(f"need at least k={k} steps, got {N}")
@@ -565,12 +576,13 @@ def convergence_study(
             source=source, on_state=measure,
         )
         rate_inf = rate_two = None
-        if rows:
-            prev = rows[-1]
+        if prev is not None:
             span = np.log(N / prev.n_steps)
             rate_inf = float(np.log(prev.error_inf / e_inf) / span)
             rate_two = float(np.log(prev.error_two / e_two) / span)
-        rows.append(ConvergenceRow(N, tau, e_inf, rate_inf, e_two, rate_two))
+        row = ConvergenceRow(N, tau, e_inf, rate_inf, e_two, rate_two)
+        rows.append(row)
+        prev = row
     return rows
 
 

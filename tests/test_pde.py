@@ -13,6 +13,7 @@ from imexlmm.models import (
     ModelSpec,
     allen_cahn,
     cahn_hilliard,
+    cubic_lipschitz_bound,
     pfc,
 )
 from imexlmm.pde import (
@@ -155,6 +156,7 @@ def test_interpolation_inequality_pfc():
 
 def test_pfc_lipschitz_constant():
     assert pfc(0.25, radius=2.0).ell_f == pytest.approx(10.75, abs=1e-14)
+    assert pfc(0.25, radius=2.0).ell_f == cubic_lipschitz_bound(1.25, 2.0)
 
 
 @pytest.mark.parametrize("model, c", [(allen_cahn(0.05), 1.0), (cahn_hilliard(0.5), 1.0),
@@ -474,6 +476,9 @@ def test_modified_energy_k1_degenerates():
     assert modified_energy(flow, report) == pytest.approx(
         energy(model, grid, u), rel=1e-14
     )
+    # a one-step window has no differences: the tracker adds exactly zero
+    trace, _ = simulate(model, grid, scheme, report, u, tau=0.01, n_steps=3)
+    assert trace.modified_energy == trace.energy
 
 
 def test_modified_energy_rejects_nonzero_mean_differences():
