@@ -90,7 +90,7 @@ def _background(model: ModelSpec, u0: np.ndarray) -> float:
     return float(np.mean(u0)) if model.mass_conserving else 0.0
 
 
-_W, _F, _G = range(3)   # the transform rows of a ring slot
+_W, _F = range(2)   # the transform rows of a ring slot
 
 
 def _flat_symbols(symbols) -> np.ndarray:
@@ -104,20 +104,19 @@ class SpectralFlow:
 
     Slot (head - back) % k holds u^{n-back}: the transforms of its deviation
     w from a fixed background mean (zero for models that do not conserve
-    mass) and of f(u), or with a source of f(u) - f(u*) and of the linear
-    part of g (see ``discrete_source``); ``flat`` views the ring as float
+    mass) and of f(u), or with a source the explicit term m (f(u) - f(u*))^
+    + g_lin of ``discrete_source``'s split; ``flat`` views the ring as float
     rows by slot and ``deviations`` its k deviation rows.  Getters return
     views, which ``push`` overwrites k states later; ``state(back)`` inverts
     on demand and returns the full field.  ``step`` writes w^{n+1} straight
     into the oldest slot, once its matmul has read it, and copies no spectrum.
 
-    Per mode the update is pivot * w^{n+1} = sum_i c_i w^{n+1-i}
-    + d_i f^{n+1-i} + tau Bhat_i g^{n+1-i}, with pivot = A_0 - tau m B_0 l
-    and the real per-lag symbols c_i = tau m l B_i - A_i, d_i = tau m Bhat_i,
-    so pivot * w^{n+1} = tau m l sum B_i w_i - sum A_i w_i + tau m sum Bhat_i f_i
-    (+ tau sum Bhat_i g_i).  Those 3 (4) slot sums are one real matmul of the
-    ring's float view by the current head's coefficient matrix; the per-mode
-    symbols (tau m l, -1, tau m, tau) / pivot then weight them into w^{n+1}.
+    Per mode the update is pivot * w^{n+1} = sum_i c_i w^{n+1-i} + d_i F^{n+1-i},
+    pivot = A_0 - tau m B_0 l, with the real per-lag symbols c_i = tau m l B_i
+    - A_i and d_i = tau m Bhat_i, or tau Bhat_i when F carries m and the source.
+    The 3 slot sums sum B_i w_i, sum A_i w_i and sum Bhat_i F_i are one real
+    matmul of the ring's float view by the current head's coefficient matrix;
+    the per-mode symbols (tau m l, -1, tau m or tau) / pivot weight them.
     """
 
     def __init__(self, model, grid, scheme, tau, states, t0=0.0, source=None):
@@ -128,8 +127,7 @@ class SpectralFlow:
             raise ValueError(f"the flow needs exactly k={k} states")
         self.model, self.grid, self.scheme, self.source = model, grid, scheme, source
         self.tau, self.t0 = float(tau), float(t0)
-        A = [float(x) for x in scheme.A]
-        B = [float(x) for x in scheme.B]
+        A, B, Bhat = ([float(x) for x in c] for c in (scheme.A, scheme.B, scheme.Bhat))
         self.mhat = model.m_symbol(grid.k2)
         self.lhat = model.l_symbol(grid.k2)
         tml = self.tau * self.mhat * self.lhat
@@ -138,20 +136,18 @@ class SpectralFlow:
         if np.any(np.abs(pivot) <= floor):
             raise IllPosedStepError("zero pivot in the diagonal implicit solve")
         inv_pivot = 1.0 / pivot
-        rows = _G + (source is not None)    # ring rows; the update forms rows + 1 sums
-        symbols = (tml, -1.0, self.tau * self.mhat, self.tau)[: rows + 1]
-        self.symbols = _flat_symbols([x * inv_pivot for x in symbols])
+        explicit = self.tau if source is not None else self.tau * self.mhat
+        self.symbols = _flat_symbols([x * inv_pivot for x in (tml, -1.0, explicit)])
         # scalar weights by (sum, lag, ring row); a slot's lag is (head - slot) % k
-        lag = np.zeros((rows + 1, k, rows))
+        lag = np.zeros((3, k, 2))
         lag[0, :, _W] = B[1:]
         lag[1, :, _W] = A[1:]
-        for row in range(_F, rows):
-            lag[row + 1, :, row] = [float(x) for x in scheme.Bhat]
+        lag[2, :, _F] = Bhat
         self.lags = (np.arange(k)[:, None] - np.arange(k)) % k    # by (head, slot)
-        self._slot_coef = [lag[:, lags].reshape(rows + 1, -1) for lags in self.lags]
-        self._ring = np.zeros((k, rows) + grid.k2.shape, dtype=complex)
-        self.flat = self._ring.view(np.float64).reshape(k * rows, -1)
-        self.deviations = self.flat[_W::rows]
+        self._slot_coef = [lag[:, lags].reshape(3, -1) for lags in self.lags]
+        self._ring = np.zeros((k, 2) + grid.k2.shape, dtype=complex)
+        self.flat = self._ring.view(np.float64).reshape(2 * k, -1)
+        self.deviations = self.flat[_W::2]
         self.background = _background(model, states[0])
         self.n = -1             # index of the newest state
         for u in states:
@@ -179,10 +175,12 @@ class SpectralFlow:
         slot = self._ring[self.head]
         slot[_W] = w_hat        # a no-op for the slot's own row, as ``step`` passes it
         f = self.model.f(u)
-        if self.source is not None:
-            f_star, slot[_G] = self.source(self.time())
-            f = f - f_star
-        self.grid.fft(f, out=slot[_F])
+        if self.source is None:
+            self.grid.fft(f, out=slot[_F])
+        else:   # f - f_star out of place: a user's f may return u, the field ``step`` returns
+            f_star, g_lin = self.source(self.time())
+            np.multiply(self.mhat, self.grid.fft(f - f_star, out=slot[_F]), out=slot[_F])
+            slot[_F] += g_lin
 
     def step(self) -> np.ndarray:
         """Advance one multistep update; returns the new full field.
@@ -221,15 +219,20 @@ def _stage_solver(mhat_lhat, h):
     return solve
 
 
+def _stages_settled(residual, residual_prev) -> bool:
+    """Sweep residual r <= STAGE_TOL, or theta r / (1 - theta) <= STAGE_TOL with theta =
+    r / r_prev < 1 (Hairer & Wanner, Solving ODEs II, IV.8); none while r_prev is inf."""
+    return residual <= STAGE_TOL or (
+        residual_prev < np.inf and residual**2 <= STAGE_TOL * (residual_prev - residual))
+
+
 def _gauss_substep(model, grid, mhat, w, background, t, h, solve, source, guess=None):
     """One Gauss collocation substep on the deviation field w; mhat is the mobility
     symbol on grid.k2.  Iterates from ``guess``, or from (w, w, w) when none is
     given; returns the new w and the stages predicted for the next substep."""
     w_hat = grid.fft(w).view(np.float64).reshape(-1)
     if source is not None:   # stage-time parts, subtracted before the sweep's transform
-        f_stars, g_hats = np.empty((3,) + w.shape), np.empty((3,) + mhat.shape, dtype=complex)
-        for i, c in enumerate(GAUSS_C):
-            f_stars[i], g_hats[i] = source(t + c * h)
+        f_stars, g_hats = map(np.stack, zip(*(source(t + c * h) for c in GAUSS_C)))
     stages = np.stack([w, w, w]) if guess is None else guess
     residual_prev = np.inf
     growth = 0
@@ -250,7 +253,7 @@ def _gauss_substep(model, grid, mhat, w, background, t, h, solve, source, guess=
         new_stages = np.fft.irfftn(stage_hats.reshape(f_hats.shape), grid.shape, grid.axes)
         residual = float(np.max(np.abs(new_stages - stages)))
         stages = new_stages
-        if residual <= STAGE_TOL:
+        if _stages_settled(residual, residual_prev):
             w_next = w + np.einsum("i,i...->...", GAUSS_D, stages - w[None])
             return w_next, np.tensordot(GAUSS_PREDICT, np.stack([w, *stages]), 1)
         if not np.isfinite(residual) or residual > 4.0 * residual_prev:
@@ -272,10 +275,10 @@ def gauss_rk6_start(
     """Starting values u^0 .. u^{k-1} by 3-stage Gauss collocation.
 
     ``source(t)``, when given, returns g(t) split as ``discrete_source`` does.
-    Stage systems are solved by fixed-point iteration to max-norm residual
-    1e-14; if an iteration refuses to contract, the substep is halved, down
-    to tau/64 before giving up.  A ``tau`` that is not positive (NaN
-    included) raises ValueError before any stage is solved.
+    Stage systems are solved by fixed-point iteration until the max-norm
+    residual or its contraction estimate is <= 1e-14; an iteration that will
+    not contract halves the substep, down to tau/64 before giving up.  A ``tau``
+    that is not positive (NaN included) raises ValueError before any stage is solved.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -284,7 +287,6 @@ def gauss_rk6_start(
     background = _background(model, u0)
     mhat = model.m_symbol(grid.k2)
     mhat_lhat = mhat * model.l_symbol(grid.k2)
-    last_error = None
     for halving in range(MAX_SUBSTEP_HALVINGS + 1):
         substeps = 2 ** halving
         h = tau / substeps
@@ -557,7 +559,6 @@ def convergence_study(
     k = scheme.k
     source = discrete_source(model, grid, solution)
     rows = []
-    prev = None
     for N in n_list:
         if N < k:
             raise ValueError(f"need at least k={k} steps, got {N}")
@@ -576,13 +577,12 @@ def convergence_study(
             source=source, on_state=measure,
         )
         rate_inf = rate_two = None
-        if prev is not None:
+        if rows:
+            prev = rows[-1]
             span = np.log(N / prev.n_steps)
             rate_inf = float(np.log(prev.error_inf / e_inf) / span)
             rate_two = float(np.log(prev.error_two / e_two) / span)
-        row = ConvergenceRow(N, tau, e_inf, rate_inf, e_two, rate_two)
-        rows.append(row)
-        prev = row
+        rows.append(ConvergenceRow(N, tau, e_inf, rate_inf, e_two, rate_two))
     return rows
 
 
