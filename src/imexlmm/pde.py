@@ -112,11 +112,10 @@ class SpectralFlow:
     into the oldest slot, once its matmul has read it, and copies no spectrum.
 
     Per mode the update is pivot * w^{n+1} = sum_i c_i w^{n+1-i} + d_i F^{n+1-i},
-    pivot = A_0 - tau m B_0 l, with the real per-lag symbols c_i = tau m l B_i
-    - A_i and d_i = tau m Bhat_i, or tau Bhat_i when F carries m and the source.
-    The 3 slot sums sum B_i w_i, sum A_i w_i and sum Bhat_i F_i are one real
-    matmul of the ring's float view by the current head's coefficient matrix;
-    the per-mode symbols (tau m l, -1, tau m or tau) / pivot weight them.
+    pivot = A_0 - tau m B_0 l, c_i = tau m l B_i - A_i, d_i = tau m Bhat_i (tau Bhat_i
+    with a source, whose F carries m).  Its 3 slot sums of B_i w_i, A_i w_i, Bhat_i F_i
+    are one real matmul of the ring's float view by the current head's coefficient
+    matrix; the per-mode symbols (tau m l, -1, tau m or tau) / pivot weight them.
     """
 
     def __init__(self, model, grid, scheme, tau, states, t0=0.0, source=None):
@@ -127,7 +126,8 @@ class SpectralFlow:
             raise ValueError(f"the flow needs exactly k={k} states")
         self.model, self.grid, self.scheme, self.source = model, grid, scheme, source
         self.tau, self.t0 = float(tau), float(t0)
-        A, B, Bhat = ([float(x) for x in c] for c in (scheme.A, scheme.B, scheme.Bhat))
+        A = [float(x) for x in scheme.A]
+        B = [float(x) for x in scheme.B]
         self.mhat = model.m_symbol(grid.k2)
         self.lhat = model.l_symbol(grid.k2)
         tml = self.tau * self.mhat * self.lhat
@@ -142,7 +142,7 @@ class SpectralFlow:
         lag = np.zeros((3, k, 2))
         lag[0, :, _W] = B[1:]
         lag[1, :, _W] = A[1:]
-        lag[2, :, _F] = Bhat
+        lag[2, :, _F] = [float(x) for x in scheme.Bhat]
         self.lags = (np.arange(k)[:, None] - np.arange(k)) % k    # by (head, slot)
         self._slot_coef = [lag[:, lags].reshape(3, -1) for lags in self.lags]
         self._ring = np.zeros((k, 2) + grid.k2.shape, dtype=complex)
@@ -174,13 +174,13 @@ class SpectralFlow:
         self.head = self.n % self.k     # slot of the newest state
         slot = self._ring[self.head]
         slot[_W] = w_hat        # a no-op for the slot's own row, as ``step`` passes it
-        f = self.model.f(u)
         if self.source is None:
-            self.grid.fft(f, out=slot[_F])
-        else:   # f - f_star out of place: a user's f may return u, the field ``step`` returns
+            self.grid.fft(self.model.f(u), out=slot[_F])
+        else:   # f(u) - f(u*) out of place: a user's f may return u, the field ``step`` returns
             f_star, g_lin = self.source(self.time())
-            np.multiply(self.mhat, self.grid.fft(f - f_star, out=slot[_F]), out=slot[_F])
-            slot[_F] += g_lin
+            f_hat = self.grid.fft(self.model.f(u) - f_star, out=slot[_F])
+            f_hat *= self.mhat
+            f_hat += g_lin
 
     def step(self) -> np.ndarray:
         """Advance one multistep update; returns the new full field.
@@ -219,11 +219,9 @@ def _stage_solver(mhat_lhat, h):
     return solve
 
 
-def _stages_settled(residual, residual_prev) -> bool:
-    """Sweep residual r <= STAGE_TOL, or theta r / (1 - theta) <= STAGE_TOL with theta =
-    r / r_prev < 1 (Hairer & Wanner, Solving ODEs II, IV.8); none while r_prev is inf."""
-    return residual <= STAGE_TOL or (
-        residual_prev < np.inf and residual**2 <= STAGE_TOL * (residual_prev - residual))
+def _stages_settled(r, r_prev) -> bool:
+    """r <= STAGE_TOL, or theta r / (1 - theta) <= it at theta = r / r_prev < 1, r_prev finite."""
+    return r <= STAGE_TOL or (r_prev < np.inf and r * r <= STAGE_TOL * (r_prev - r))
 
 
 def _gauss_substep(model, grid, mhat, w, background, t, h, solve, source, guess=None):
@@ -275,9 +273,8 @@ def gauss_rk6_start(
     """Starting values u^0 .. u^{k-1} by 3-stage Gauss collocation.
 
     ``source(t)``, when given, returns g(t) split as ``discrete_source`` does.
-    Stage systems are solved by fixed-point iteration until the max-norm
-    residual or its contraction estimate is <= 1e-14; an iteration that will
-    not contract halves the substep, down to tau/64 before giving up.  A ``tau``
+    Stage sweeps stop once the max-norm residual or its contraction estimate is
+    <= 1e-14; a substep that will not contract is halved, down to tau/64.  A ``tau``
     that is not positive (NaN included) raises ValueError before any stage is solved.
     """
     if k < 1:
@@ -287,6 +284,7 @@ def gauss_rk6_start(
     background = _background(model, u0)
     mhat = model.m_symbol(grid.k2)
     mhat_lhat = mhat * model.l_symbol(grid.k2)
+    last_error = None
     for halving in range(MAX_SUBSTEP_HALVINGS + 1):
         substeps = 2 ** halving
         h = tau / substeps
@@ -559,6 +557,7 @@ def convergence_study(
     k = scheme.k
     source = discrete_source(model, grid, solution)
     rows = []
+    prev = None
     for N in n_list:
         if N < k:
             raise ValueError(f"need at least k={k} steps, got {N}")
@@ -577,12 +576,13 @@ def convergence_study(
             source=source, on_state=measure,
         )
         rate_inf = rate_two = None
-        if rows:
-            prev = rows[-1]
+        if prev is not None:
             span = np.log(N / prev.n_steps)
             rate_inf = float(np.log(prev.error_inf / e_inf) / span)
             rate_two = float(np.log(prev.error_two / e_two) / span)
-        rows.append(ConvergenceRow(N, tau, e_inf, rate_inf, e_two, rate_two))
+        row = ConvergenceRow(N, tau, e_inf, rate_inf, e_two, rate_two)
+        rows.append(row)
+        prev = row
     return rows
 
 
