@@ -169,7 +169,7 @@ class SpectralFlow:
         return self.slot(back)[_W]
 
     def push(self, w_hat, u):
-        """Store the next state (w's transform, full field u) in the oldest slot."""
+        """Store the next state (w's transform, full field u) as the oldest slot's W and F."""
         self.n += 1
         self.head = self.n % self.k     # slot of the newest state
         slot = self._ring[self.head]
