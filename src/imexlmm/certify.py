@@ -43,6 +43,14 @@ class CertificateInfeasibleError(ValueError):
     """Requested gamma exceeds the minimum of the generating series."""
 
 
+def require_positive(name: str, value) -> float:
+    """``value`` as a float; ValueError unless it is finite and positive."""
+    value = float(value)
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class ModelConstants:
     """Lipschitz constant of f plus the interpolation constants (zeta, eta)."""
@@ -52,10 +60,8 @@ class ModelConstants:
     eta: float
 
     def __post_init__(self):
-        if self.ell_f <= 0:
-            raise ValueError("ell_f must be positive")
-        if self.zeta <= 0:
-            raise ValueError("zeta must be positive")
+        require_positive("ell_f", self.ell_f)
+        require_positive("zeta", self.zeta)
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
 

@@ -188,8 +188,8 @@ def _snapshot_writer(pattern: str, grid: Grid, every: int):
 
 
 def cmd_simulate(args) -> int:
-    if not args.tau > 0.0:
-        raise ValueError(f"--tau must be positive, got {args.tau}")
+    certify.require_positive("--tau", args.tau)
+    certify.require_positive("--T", args.T)   # before int(round(T / tau))
     scheme = _load_scheme(args.scheme)
     model = MODEL_BUILDERS[args.model](args.epsilon)
     grid = Grid((args.grid, args.grid), (args.domain, args.domain))

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .certify import ModelConstants
+from .certify import ModelConstants, require_positive
 
 __all__ = [
     "Grid",
@@ -63,7 +63,7 @@ class Grid:
 
     def __post_init__(self):
         shape = tuple(int(n) for n in self.shape)
-        lengths = tuple(float(l) for l in self.lengths)
+        lengths = tuple(require_positive("grid length", l) for l in self.lengths)
         if len(shape) != len(lengths):
             raise ValueError("shape and lengths must agree in dimension")
         if not 1 <= len(shape) <= 3:

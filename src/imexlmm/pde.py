@@ -552,8 +552,10 @@ def convergence_study(
 
     Each N runs through ``simulate``, so its invariant checks cover every
     run.  e_inf(tau) and e_2(tau) maximize the pointwise / cell-weighted
-    errors over steps n >= k-1; rates compare consecutive entries of n_list.
+    errors over steps n >= k-1; rates compare consecutive, strictly rising N.
     """
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(f"step counts must increase strictly, got {list(n_list)}")
     k = scheme.k
     source = discrete_source(model, grid, solution)
     rows = []

@@ -38,6 +38,8 @@ ROOT_MARGIN = 1e-6     # roots this close to |xi| = 1 are left to eigenvalues
 SCHUR_COHN_BAND = 1e-9  # relative |delta| at or below this is undecided
 POINT_BLOCK = 4096      # points per recursion batch; keeps it in cache
 LEAD_TOL = 1e-14        # |a_n| <= LEAD_TOL * max|a| drops the polynomial's degree
+CROSSING_TOL = 1e-3     # locus-crossing roots this close to |xi| = 1 count as on it
+FLAT_LEAD = 1e-10       # a crossing polynomial with a smaller relative lead is degenerate
 LOCUS_TOL = 1e-9        # locus points with |rho| or |sigma| <= LOCUS_TOL * sum|coeffs| are dropped
 
 
@@ -96,11 +98,11 @@ def _degrees(coeffs: np.ndarray) -> np.ndarray:
 
 def _companion_roots(rows: np.ndarray):
     """Roots of rows of one degree (descending, nonzero lead) from one
-    stacked ``eigvals`` of companion matrices, with the mask of roots
-    outside the closed disk and the mask of root pairs (i < j) on the
-    boundary that sit too close to be simple."""
+    stacked ``eigvals`` of companion matrices in the rows' dtype, with the
+    mask of roots outside the closed disk and the mask of root pairs (i < j)
+    on the boundary that sit too close to be simple."""
     d = rows.shape[1] - 1
-    comp = np.zeros((len(rows), d, d), dtype=complex)
+    comp = np.zeros((len(rows), d, d), dtype=rows.dtype)
     comp[:, 1:, :-1] = np.eye(d - 1)
     comp[:, 0, :] = -(rows[:, 1:] / rows[:, :1])
     roots = np.linalg.eigvals(comp)
@@ -211,6 +213,35 @@ class RegionSlice:
                 yield float(x), float(y), bool(self.mask[i, j])
 
 
+def _cayley(p) -> np.ndarray:
+    """(1 - it)^n p(xi) at xi = (1 + it) / (1 - it), p of formal degree n, both
+    descending: real t covers the unit circle but xi = -1 (t = infinity)."""
+    n = len(p) - 1
+    basis = [P.polymul(P.polypow([1, 1j], n - i), P.polypow([1, -1j], i))[::-1]
+             for i in range(n + 1)]
+    return np.asarray(p) @ np.array(basis)
+
+
+def _locus_breaks(num, den, ys):
+    """Re z where each row Im z = y may cross the locus num(xi) / den(xi), |xi| = 1
+    (NaN: none), and the rows whose crossing polynomial is degenerate.  The crossings
+    are the unit-circle roots of C_y = (R - rev(conj R)) / 2i - y S, R = num rev(conj
+    den), S = den rev(conj den), real in t after ``_cayley``.  Roots within CROSSING_TOL
+    of the circle, xi = +-1 and num_0 / den_0 all count: a spare break costs a few points."""
+    r, s = (np.convolve(p, den.conj()[::-1]) for p in (num, den))
+    t = _cayley((r - r.conj()[::-1]) / 2j).real - ys[:, None] * _cayley(s).real
+    flat = ~(np.abs(t[:, 0]) > FLAT_LEAD * np.abs(t).max(axis=1))  # NaN too
+    breaks = np.full((len(ys), t.shape[1] + 2), np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = _companion_roots(t[~flat])[0]
+        xi = (1 + 1j * roots) / (1 - 1j * roots)
+        xi = np.where(np.abs(np.abs(xi) - 1.0) <= CROSSING_TOL, xi / np.abs(xi), np.nan)
+        breaks[~flat, :-3] = (np.polyval(num, xi) / np.polyval(den, xi)).real
+        always = np.r_[np.polyval(num, [1, -1]), num[0]] / np.r_[np.polyval(den, [1, -1]), den[0]]
+        breaks[:, -3:] = always.real
+    return breaks, flat
+
+
 def region_slice(
     s: SchemeCoefficients,
     plane: str,
@@ -221,8 +252,13 @@ def region_slice(
     """Scan one two-dimensional slice of the IMEX stability region.
 
     plane = "implicit" scans z_I with z_E = 0; "explicit" scans z_E with
-    z_I = 0; "imex" scans z_E with z_I = fixed_value.
-    """
+    z_I = 0; "imex" scans z_E with z_I = fixed_value: the roots of P - z Q,
+    (P, Q) = (rho, sigma), (rho, sigma_hat) or (rho - z_I sigma, sigma_hat).
+    A verdict changes along a row only where a root crosses |xi| = 1 + ROOT_TOL,
+    on that circle's locus z = P(xi) / Q(xi) (Hairer & Wanner, Solving ODEs II,
+    V.1), or at the degree drop P_0 / Q_0.  One stacked ``eigvals`` finds these
+    breaks; each run between them takes its middle point's verdict, while its
+    end points and degenerate rows are decided point by point."""
     if plane not in ("implicit", "explicit", "imex"):
         raise ValueError(f"unknown plane {plane!r}")
     n_re, n_im = (resolution, resolution) if np.isscalar(resolution) else resolution
@@ -230,16 +266,25 @@ def region_slice(
         raise ValueError("resolution must be at least 2 per axis")
     re_axis = np.linspace(window[0], window[1], n_re)
     im_axis = np.linspace(window[2], window[3], n_im)
-    pts = re_axis[None, :] + 1j * im_axis[:, None]
     rho, sigma, sigma_hat = char_polys(s).as_arrays()
-    if plane == "implicit":
-        zi, ze = pts, np.zeros_like(pts)
-    elif plane == "explicit":
-        zi, ze = np.zeros_like(pts), pts
-    else:
-        zi, ze = np.full_like(pts, complex(fixed_value)), pts
-    mask = _points_stable(rho, sigma, sigma_hat, zi, ze).reshape(pts.shape)
-    return RegionSlice(re_axis=re_axis, im_axis=im_axis, mask=mask)
+    fixed = complex(fixed_value) if plane == "imex" else 0j
+    num, den = (rho, sigma) if plane == "implicit" else (rho - fixed * sigma, sigma_hat)
+    radius = (1.0 + ROOT_TOL) ** np.arange(len(rho) - 1, -1, -1)
+    breaks, flat = _locus_breaks(num * radius, den * radius, im_axis)
+    first = flat[:, None] | (np.arange(n_re + 1) == 0)  # first[:, j]: a run starts at column j
+    rising = 1.0 if window[1] >= window[0] else -1.0  # searchsorted needs a rising axis
+    np.put_along_axis(first, np.searchsorted(rising * re_axis, rising * breaks, side="right"),
+                      True, axis=1)
+    first = first[:, :-1].ravel()
+    starts, ends = np.flatnonzero(first), np.flatnonzero(np.append(first[1:], True))
+    mids = (starts + ends) // 2
+    tested = np.unique(np.concatenate([starts, ends, mids]))
+    z = re_axis[tested % n_re] + 1j * im_axis[tested // n_re]
+    zi, ze = (z, np.zeros_like(z)) if plane == "implicit" else (np.full_like(z, fixed), z)
+    verdict = _points_stable(rho, sigma, sigma_hat, zi, ze)
+    mask = np.repeat(verdict[np.searchsorted(tested, mids)], ends - starts + 1)
+    mask[tested] = verdict
+    return RegionSlice(re_axis=re_axis, im_axis=im_axis, mask=mask.reshape(n_im, n_re))
 
 
 def _exact_gcd(p, q) -> np.ndarray:

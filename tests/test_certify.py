@@ -322,3 +322,11 @@ def test_model_constants_validation():
         ModelConstants(ell_f=0.0, zeta=1.0, eta=1.0)
     with pytest.raises(ValueError):
         ModelConstants(ell_f=1.0, zeta=1.0, eta=1.5)
+
+
+@pytest.mark.parametrize("ell_f, zeta", [(float("nan"), 1.0), (float("inf"), 1.0),
+                                         (1.0, float("nan")), (1.0, float("inf"))])
+def test_model_constants_must_be_finite(ell_f, zeta):
+    # NaN passed the old `<= 0` test (tau_max NaN) and inf gave tau_max = 0
+    with pytest.raises(ValueError, match="finite and positive"):
+        ModelConstants(ell_f=ell_f, zeta=zeta, eta=1.0)

@@ -117,6 +117,13 @@ def test_grid_validation():
         Grid((32,), (1.0, 1.0))
 
 
+@pytest.mark.parametrize("length", [0.0, -16.0, float("nan"), float("inf")])
+def test_grid_lengths_must_be_finite_and_positive(length):
+    # -16 ran as a box of side 16, and 0 divided by zero
+    with pytest.raises(ValueError, match="grid length must be finite and positive"):
+        Grid((16, 16), (16.0, length))
+
+
 def test_spectral_norm_identity():
     # symbol form of ||(-M)^{-1/2} v||^2 equals solve-then-inner-product
     grid = small_grid(n=32, length=16.0)
@@ -953,6 +960,14 @@ def test_convergence_stationary_solution_hits_rounding():
     rows = convergence_study(model, grid, lmm6_scheme(), stationary, [10, 20])
     for row in rows:
         assert row.error_inf < 1e-11
+
+
+@pytest.mark.parametrize("n_list", [[8, 8], [10, 8]])
+def test_convergence_study_needs_strictly_rising_step_counts(n_list):
+    # a repeated N made the rate span log(N / prev) zero: nan rates
+    grid = small_grid(16)
+    with pytest.raises(ValueError, match="increase strictly"):
+        convergence_study(allen_cahn(0.01), grid, lmm6_scheme(), trig_mode_solution(grid), n_list)
 
 
 def test_convergence_sixth_order_small_case():

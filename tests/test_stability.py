@@ -437,6 +437,63 @@ def test_lmm6_slice_mask_is_the_recorded_one():
     assert hashlib.sha256(np.packbits(mask).tobytes()).hexdigest() == LMM6_SLICE_SHA256
 
 
+# ------------------------------------------- runs between locus crossings
+
+def _all_points_mask(scheme, plane, fixed_value, window, resolution):
+    # the slice as the per-point root condition decides it, point by point
+    n_re, n_im = (resolution, resolution) if np.isscalar(resolution) else resolution
+    pts = np.linspace(*window[:2], n_re)[None, :] + 1j * np.linspace(*window[2:], n_im)[:, None]
+    if plane == "implicit":
+        zi, ze = pts, np.zeros_like(pts)
+    else:
+        zi, ze = np.full_like(pts, fixed_value if plane == "imex" else 0j), pts
+    rho, sigma, sigma_hat = char_polys(scheme).as_arrays()
+    return stability._points_stable(rho, sigma, sigma_hat, zi, ze).reshape(pts.shape)
+
+
+DEFAULT_WINDOW = (-15.0, 5.0, -10.0, 10.0)
+RUN_CASES = {
+    **{f"{name}-implicit": (SCHEMES[name], "implicit", 0j, DEFAULT_WINDOW, 400)
+       for name in SCHEMES},
+    "lmm6-explicit-0.5": (lmm6_scheme(), "explicit", 0j, (-0.5, 0.5, -0.5, 0.5), 400),
+    "lmm6-explicit-3": (lmm6_scheme(), "explicit", 0j, (-3.0, 3.0, -3.0, 3.0), 400),
+    "lmm6-imex-real": (lmm6_scheme(), "imex", -10.0, (-0.5, 0.5, -0.5, 0.5), 400),
+    "lmm6-imex-complex": (lmm6_scheme(), "imex", -3.0 + 1j, (-0.5, 0.5, -0.5, 0.5), 400),
+    "lmm6-origin": (lmm6_scheme(), "implicit", 0j, (-5e-3, 5e-3, -5e-3, 5e-3), 400),
+    # cells of 5e-8 < ROOT_TOL: the verdict turns at |xi| = 1 + ROOT_TOL, not at 1
+    "lmm6-origin-1e-5": (lmm6_scheme(), "implicit", 0j, (-5e-6, 5e-6, -5e-6, 5e-6), 200),
+    "bdf6-explicit-origin": (SCHEMES["bdf6"], "explicit", 0j, (-5e-3, 5e-3, -5e-3, 5e-3), 101),
+    "lmm6-reversed-window": (lmm6_scheme(), "implicit", 0j, (5.0, -15.0, 10.0, -10.0), 101),
+    "lmm6-resolution-2": (lmm6_scheme(), "implicit", 0j, (-1.0, 0.2, -0.5, 0.5), 2),
+    "lmm6-resolution-2x3": (lmm6_scheme(), "imex", -10.0, (-1.0, 0.2, -0.5, 0.5), (2, 3)),
+    "rho-is-minus-sigma": (RHO_IS_MINUS_SIGMA, "implicit", 0j, (-2.0, 0.0, -1.0, 1.0), 51),
+    "rho-is-minus-sigma-imex": (RHO_IS_MINUS_SIGMA, "imex", -1.0, (-2.0, 0.0, -1.0, 1.0), 51),
+}
+
+
+@pytest.mark.parametrize("case", list(RUN_CASES))
+def test_run_mask_matches_every_point(case):
+    scheme, plane, fixed_value, window, resolution = RUN_CASES[case]
+    mask = region_slice(scheme, plane, fixed_value, window, resolution).mask
+    assert np.array_equal(mask, _all_points_mask(scheme, plane, fixed_value, window, resolution))
+
+
+def test_degenerate_crossing_row_is_decided_point_by_point(monkeypatch):
+    # P(-1) / Q(-1) is real in the implicit plane, so on the row Im z = 0 the
+    # crossing polynomial loses its lead (the locus meets the row at xi = -1)
+    tested = []
+    points_stable = stability._points_stable
+    monkeypatch.setattr(
+        stability, "_points_stable", lambda *a: tested.append(a[3]) or points_stable(*a)
+    )
+    window, resolution = (-15.0, 5.0, -1.0, 1.0), (101, 3)
+    s = region_slice(lmm6_scheme(), "implicit", window=window, resolution=resolution)
+    z = np.concatenate(tested)
+    assert np.array_equal(np.sort(z[z.imag == 0.0].real), s.re_axis)
+    assert (z.imag == 1.0).sum() < 25  # the other rows go by runs
+    assert np.array_equal(s.mask, _all_points_mask(lmm6_scheme(), "implicit", 0j, window, resolution))
+
+
 # angles from the boundary locus, to the last bit
 RECORDED_ANGLES = {
     "bdf1": 90.0,
