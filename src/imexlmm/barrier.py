@@ -5,10 +5,10 @@ generating polynomials in exact tables; ``search_feasible`` hunts for positive
 pairs by pattern search on float scores in batches and reports the exact score
 of its answer.  For seven steps no feasible vector exists: the positivity
 constraints at the Chebyshev nodes of [-1, 1] form a linear system
-``Q w <= q`` over the field of rationals extended by sqrt(3), and an explicit
-nonnegative combination of its rows is contradictory.  The whole order-7
-pipeline runs in exact arithmetic, since a floating-point check of a
-nonexistence statement would be inconclusive.
+``Q w <= q`` over Q(sqrt(3)), and an explicit nonnegative combination of its
+rows is contradictory.  The whole order-7 pipeline runs in exact arithmetic,
+its products in integers, since a floating-point check of a nonexistence
+statement would be inconclusive.
 """
 
 from __future__ import annotations
@@ -280,7 +280,7 @@ def search_feasible(
 
 @dataclass(frozen=True)
 class FarkasSystem:
-    """Exact inequality system Q w <= q encoding node-wise positivity."""
+    """Exact inequality system Q w <= q; every product runs on its integer rows."""
 
     k: int
     Q: tuple  # 2k rows x k columns of QuadExt
@@ -288,7 +288,7 @@ class FarkasSystem:
 
     @functools.cached_property
     def _integer_rows(self) -> tuple:
-        # rows (-Q_i, q_i) = (P_i + sqrt(3) R_i) / den: P = [-Qp | qp], R = [-Qq | qq]
+        # rows (-Q_i, q_i) = (P_i + sqrt(3) R_i) / den; build_farkas_system sets them
         rows = [(*(-x for x in row), qi) for row, qi in zip(self.Q, self.q)]
         den = math.lcm(*(c.denominator for row in rows for x in row for c in (x.p, x.q)))
         return den, *([[int(getattr(x, part) * den) for x in row] for row in rows] for part in "pq")
@@ -302,6 +302,16 @@ class FarkasSystem:
         return [QuadExt(Fraction(p, den * scale), Fraction(r, den * scale))
                 for p, r in zip(exactalg.matvec(P, v), exactalg.matvec(R, v))]
 
+    def left_product(self, v) -> list:
+        """sum_i v_i (-Q_i, q_i) for a QuadExt vector v: -Q^T v followed by q^T v."""
+        den, P, R = self._integer_rows
+        scale = math.lcm(*(c.denominator for x in v for c in (x.p, x.q)))
+        a, b = ([int(getattr(x, part) * scale) for x in v] for part in "pq")
+        pa, pb, ra, rb = (exactalg.matvec(zip(*rows), x) for rows in (P, R) for x in (a, b))
+        # (P + sqrt(3) R)(a + sqrt(3) b) = P a + 3 R b + sqrt(3) (P b + R a)
+        return [QuadExt(Fraction(x + 3 * y, den * scale), Fraction(z + t, den * scale))
+                for x, y, z, t in zip(pa, rb, pb, ra)]
+
 
 def build_farkas_system(k: int = 7) -> FarkasSystem:
     """Assemble Q and q exactly over Q(sqrt(3)).
@@ -311,14 +321,22 @@ def build_farkas_system(k: int = 7) -> FarkasSystem:
     the residuals ``q - Q w`` are ``Z a(w)`` followed by ``Z b(w)``, so Q
     and q are read off the exact affine map ``series_map(k)``.  Exact
     assembly requires the cosines to lie in Q(sqrt(3)), i.e. (k-1) | 6.
+    The products are integer: 2 Z = Zp + sqrt(3) Zq (entries 0, +-1, +-2) by D [M | c].
     """
     if k < 2:
         raise ValueError("need k >= 2")
     Z = [[_exact_cos_node(m * j, k - 1) for m in range(k)] for j in range(k)]
     M, c = series_map(k)
-    Q = [[-x for x in row] for part in (M[:k], M[k:]) for row in exactalg.matmul(Z, part)]
-    q = exactalg.matvec(Z, c[:k]) + exactalg.matvec(Z, c[k:])
-    return FarkasSystem(k=k, Q=tuple(tuple(row) for row in Q), q=tuple(q))
+    D = math.lcm(*(x.denominator for x in (*sum(M, ()), *c)))
+    A = [[x.numerator * (D // x.denominator) for x in (*row, ci)] for row, ci in zip(M, c)]
+    Zp, Zq = ([[int(2 * getattr(x, part)) for x in row] for row in Z] for part in "pq")
+    P, R = (exactalg.matmul(Zx, A[:k]) + exactalg.matmul(Zx, A[k:]) for Zx in (Zp, Zq))
+    den, sign = 2 * D, [-1] * k + [1]
+    rows = [[QuadExt(Fraction(s * p, den), Fraction(s * r, den)) for s, p, r in zip(sign, *PR)]
+            for PR in zip(P, R)]
+    system = FarkasSystem(k, tuple(tuple(row[:k]) for row in rows), tuple(row[k] for row in rows))
+    system.__dict__["_integer_rows"] = (den, P, R)  # the cached property's value, at hand here
+    return system
 
 
 def _sparse_vector(entries: dict, length: int = 14) -> tuple:
@@ -390,10 +408,8 @@ def verify_farkas_certificate() -> FarkasReport:
     strict negativity of q^T lambda.
     """
     system = build_farkas_system(7)
-    Qt = list(zip(*system.Q))
-
     for idx, r in enumerate(kernel_vectors(), start=1):
-        if any(exactalg.matvec(Qt, r)):
+        if any(system.left_product(r)[:-1]):
             raise CertificateInvalidError(f"Q^T r({idx}) != 0")
 
     lam = certificate_multipliers()
@@ -408,10 +424,9 @@ def verify_farkas_certificate() -> FarkasReport:
     }
     if nonzeros != expected:
         raise CertificateInvalidError(f"unexpected lambda support {nonzeros}")
-    if any(exactalg.matvec(Qt, lam)):
+    *qt_lambda, qtl = system.left_product(lam)
+    if any(qt_lambda):
         raise CertificateInvalidError("Q^T lambda != 0")
-
-    (qtl,) = exactalg.matvec([system.q], lam)
     if not (-qtl).is_positive():
         raise CertificateInvalidError(f"q^T lambda = {qtl} is not negative")
     return FarkasReport(lam=lam, qt_lambda=qtl)

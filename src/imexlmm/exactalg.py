@@ -2,7 +2,7 @@
 
 Elements only need ``+``, ``-``, ``*``, ``/``, unary ``-`` and a truthy
 zero test, so the same routines serve both ``fractions.Fraction`` and the
-quadratic extension used by the barrier module.  Sizes here never exceed
+barrier module's integer rows of Q(sqrt(3)) values.  Sizes here never exceed
 a few dozen rows; plain Gaussian elimination with full normalization is
 exact and fast enough.
 """

@@ -170,6 +170,8 @@ def cubic_lipschitz_bound(linear_coefficient: float, radius: float) -> float:
 def _cubic(c: float, radius: float) -> dict:
     """f(u) = u^3 - c u and its potential (u^2 - c)^2 / 4, each made in one fresh array
     in the plain expressions' order, and f's Lipschitz bound on [-R, R]."""
+    radius = require_positive("radius", radius)
+
     def f(u):
         v = u * u
         v *= u
@@ -187,6 +189,7 @@ def _cubic(c: float, radius: float) -> dict:
 
 
 def allen_cahn(epsilon: float, radius: float = 2.0) -> ModelSpec:
+    epsilon = require_positive("epsilon", epsilon)
     return ModelSpec(
         name="allen_cahn",
         epsilon=epsilon,
@@ -200,6 +203,7 @@ def allen_cahn(epsilon: float, radius: float = 2.0) -> ModelSpec:
 
 
 def cahn_hilliard(epsilon: float, radius: float = 2.0) -> ModelSpec:
+    epsilon = require_positive("epsilon", epsilon)
     return ModelSpec(
         name="cahn_hilliard",
         epsilon=epsilon,
@@ -216,6 +220,7 @@ def pfc(epsilon: float, radius: float = 2.0) -> ModelSpec:
     """Phase-field crystal splitting L = (I + Lap)^2 + I, f = u^3 - (eps+1) u;
     the potential (u^2 - (1+eps))^2 / 4 shifts the conventional energy by the
     constant (1+eps)^2 |Omega| / 4."""
+    epsilon = require_positive("epsilon", epsilon)
     return ModelSpec(
         name="pfc",
         epsilon=epsilon,

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .certify import DissipationReport, certify_scheme
+from .certify import DissipationReport, certify_scheme, require_positive
 from .models import Grid, ModelSpec, pfc
 from .schemes import SchemeCoefficients, lmm6_scheme, reform
 
@@ -635,8 +635,7 @@ def pfc_experiment(
     leaves the truncation interval voids the certificate, and ``simulate``
     raises InvariantViolationError there.
     """
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    tau, T = require_positive("tau", tau), require_positive("T", T)  # before int(round(T / tau))
     model = model or pfc(0.25)
     scheme = scheme or lmm6_scheme()
     report = report or certify_scheme(scheme, model.constants())

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from imexlmm import barrier
+from imexlmm import barrier, exactalg
 from imexlmm.barrier import (
     CertificateInvalidError,
     FarkasSystem,
@@ -129,6 +129,45 @@ def _chebyshev_value(coeffs, x):
     while len(t) < len(coeffs):
         t.append(2 * x * t[-1] - t[-2])
     return sum(c * tm for c, tm in zip(coeffs, t))
+
+
+def _quadext_assembly(k):
+    """Q and q by QuadExt matrix products of the nodes with series_map(k)."""
+    Z = [[barrier._exact_cos_node(m * j, k - 1) for m in range(k)] for j in range(k)]
+    M, c = series_map(k)
+    Q = [[-x for x in row] for part in (M[:k], M[k:]) for row in exactalg.matmul(Z, part)]
+    q = exactalg.matvec(Z, c[:k]) + exactalg.matvec(Z, c[k:])
+    return tuple(tuple(row) for row in Q), tuple(q)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 7])
+def test_integer_assembly_matches_quadext_assembly(k):
+    system = build_farkas_system(k)
+    assert (system.Q, system.q) == _quadext_assembly(k)
+
+
+def _random_rational(rng, large):
+    if large:
+        return F(rng.randint(-10**12, 10**12), rng.randint(1, 10**9))
+    return F(rng.randint(-40, 40), rng.randint(1, 12))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 7])
+def test_left_product_matches_quadext_sums(k):
+    # the built system holds the assembly's integer rows; the one made from
+    # Q and q derives its own, over another denominator
+    built = build_farkas_system(k)
+    systems = (built, FarkasSystem(k=k, Q=built.Q, q=built.q))
+    rows = [(*(-x for x in row), qi) for row, qi in zip(built.Q, built.q)]
+    rng = random.Random(300 + k)
+    for trial in range(50):
+        rational, large = trial % 3 == 0, trial % 2 == 0
+        v = [QuadExt(_random_rational(rng, large), 0 if rational else _random_rational(rng, large))
+             for _ in range(2 * k)]
+        expected = [sum((vi * row[j] for vi, row in zip(v, rows)), start=q3(0))
+                    for j in range(k + 1)]
+        for system in systems:
+            assert system.left_product(v) == expected
 
 
 # the nodes cos(j*pi/(k-1)) for the k != 7 with (k-1) | 6 are rational

@@ -213,13 +213,17 @@ def test_determinism_byte_identical(tmp_path, lmm6_file):
          "--out", "{out}"],
         ["simulate", "--model", "ac", "--scheme", "{lmm6}", "--grid", "16",
          "--tau", "0.01", "--T", "inf", "--trace", "{out}"],
+        ["simulate", "--model", "ac", "--scheme", "{lmm6}", "--grid", "16", "--epsilon", "nan",
+         "--tau", "0.01", "--T", "0.1", "--trace", "{out}"],
+        ["converge", "--example", "ac", "--scheme", "{lmm6}", "--N", "8,10", "--grid", "16",
+         "--epsilon", "nan", "--out", "{out}"],
     ],
     ids=["unknown-flag", "bdf-k9", "negative-ell-f", "missing-scheme",
          "ac-tau-0", "pfc-tau-0", "snapshots-every-0",
          "search-budget-0", "search-kappa-0", "ac-T-short", "pfc-T-short",
          "scheme-empty", "scheme-a-int", "scheme-a-div0", "params-div0",
          "ell-f-nan", "zeta-inf", "domain-negative", "domain-0", "converge-repeated-N",
-         "T-inf"],
+         "T-inf", "epsilon-nan", "converge-epsilon-nan"],
 )
 def test_usage_error_exit_code(argv, tmp_path, lmm6_file, capsys):
     paths = {"lmm6": lmm6_file, "missing": tmp_path / "missing.json", "out": tmp_path / "out.csv"}

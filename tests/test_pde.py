@@ -124,6 +124,17 @@ def test_grid_lengths_must_be_finite_and_positive(length):
         Grid((16, 16), (16.0, length))
 
 
+@pytest.mark.parametrize("builder", [allen_cahn, cahn_hilliard, pfc], ids=["ac", "ch", "pfc"])
+@pytest.mark.parametrize("name", ["epsilon", "radius"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+def test_model_builders_take_finite_positive_parameters(builder, name, value):
+    # a NaN epsilon ran the starter's whole halving ladder and read as an
+    # invariant failure; it is refused when the model is built
+    params = {"epsilon": 0.25, "radius": 2.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        builder(**params)
+
+
 def test_spectral_norm_identity():
     # symbol form of ||(-M)^{-1/2} v||^2 equals solve-then-inner-product
     grid = small_grid(n=32, length=16.0)
@@ -992,8 +1003,16 @@ def test_pfc_experiment_zero_amplitude_is_steady():
 
 @pytest.mark.parametrize("tau", [0.0, -0.01])
 def test_pfc_experiment_rejects_nonpositive_tau(tau):
-    with pytest.raises(ValueError, match="tau must be positive"):
+    with pytest.raises(ValueError, match="tau must be finite and positive"):
         pfc_experiment(Grid((16, 16), (16.0, 16.0)), tau=tau, T=1.0)
+
+
+@pytest.mark.parametrize("name, tau, T", [("T", 0.01, float("inf")), ("T", 0.01, float("nan")),
+                                          ("tau", float("nan"), 1.0)])
+def test_pfc_experiment_rejects_nonfinite_times(name, tau, T):
+    # T = inf raised OverflowError from int(round(T / tau)), an ArithmeticError
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        pfc_experiment(Grid((16, 16), (16.0, 16.0)), tau=tau, T=T)
 
 
 def test_pfc_experiment_records_offset_and_mass():

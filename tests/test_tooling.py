@@ -103,3 +103,25 @@ def test_module_imports_are_read():
                 names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
                 unread += [f"{path.name}:{name}" for name in names if name not in read]
     assert not unread, f"imports never read: {unread}"
+
+
+def test_module_functions_are_read():
+    # a function or method whose last caller is deleted fails here; by name,
+    # over src/, tests/ and perfbench/; dunder methods run implicitly
+    read = set()
+    for path in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            defined += [f"{path.name}:{item.name}" for item in members
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))]
+    assert defined
+    unread = [name for name in defined if name.split(":")[1] not in read]
+    assert not unread, f"functions never read: {unread}"
