@@ -332,8 +332,8 @@ def build_farkas_system(k: int = 7) -> FarkasSystem:
     Zp, Zq = ([[int(2 * getattr(x, part)) for x in row] for row in Z] for part in "pq")
     P, R = (exactalg.matmul(Zx, A[:k]) + exactalg.matmul(Zx, A[k:]) for Zx in (Zp, Zq))
     den, sign = 2 * D, [-1] * k + [1]
-    rows = [[QuadExt(Fraction(s * p, den), Fraction(s * r, den)) for s, p, r in zip(sign, *PR)]
-            for PR in zip(P, R)]
+    rows = [[QuadExt(Fraction(s * p, den), Fraction(s * r, den)) for s, p, r in zip(sign, *pair)]
+            for pair in zip(P, R)]
     system = FarkasSystem(k, tuple(tuple(row[:k]) for row in rows), tuple(row[k] for row in rows))
     system.__dict__["_integer_rows"] = (den, P, R)  # the cached property's value, at hand here
     return system
