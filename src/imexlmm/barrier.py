@@ -288,7 +288,7 @@ class FarkasSystem:
 
     @functools.cached_property
     def _integer_rows(self) -> tuple:
-        # rows (-Q_i, q_i) = (P_i + sqrt(3) R_i) / den; build_farkas_system sets them
+        # rows (-Q_i, q_i) = (P_i + sqrt(3) R_i) / den: P = [-Qp | qp], R = [-Qq | qq]
         rows = [(*(-x for x in row), qi) for row, qi in zip(self.Q, self.q)]
         den = math.lcm(*(c.denominator for row in rows for x in row for c in (x.p, x.q)))
         return den, *([[int(getattr(x, part) * den) for x in row] for row in rows] for part in "pq")
@@ -334,9 +334,7 @@ def build_farkas_system(k: int = 7) -> FarkasSystem:
     den, sign = 2 * D, [-1] * k + [1]
     rows = [[QuadExt(Fraction(s * p, den), Fraction(s * r, den)) for s, p, r in zip(sign, *pair)]
             for pair in zip(P, R)]
-    system = FarkasSystem(k, tuple(tuple(row[:k]) for row in rows), tuple(row[k] for row in rows))
-    system.__dict__["_integer_rows"] = (den, P, R)  # the cached property's value, at hand here
-    return system
+    return FarkasSystem(k, tuple(tuple(row[:k]) for row in rows), tuple(row[k] for row in rows))
 
 
 def _sparse_vector(entries: dict, length: int = 14) -> tuple:
