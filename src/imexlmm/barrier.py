@@ -289,9 +289,11 @@ class FarkasSystem:
     @functools.cached_property
     def _integer_rows(self) -> tuple:
         # rows (-Q_i, q_i) = (P_i + sqrt(3) R_i) / den: P = [-Qp | qp], R = [-Qq | qq]
-        rows = [(*(-x for x in row), qi) for row, qi in zip(self.Q, self.q)]
+        rows = [(*row, qi) for row, qi in zip(self.Q, self.q)]
         den = math.lcm(*(c.denominator for row in rows for x in row for c in (x.p, x.q)))
-        return den, *([[int(getattr(x, part) * den) for x in row] for row in rows] for part in "pq")
+        sign = [-1] * self.k + [1]
+        return den, *([[s * c.numerator * (den // c.denominator) for s, c in zip(sign, row)]
+                       for row in ([getattr(x, part) for x in r] for r in rows)] for part in "pq")
 
     def residuals(self, w) -> list:
         """q - Q w for rational w; feasibility of w means all entries nonnegative."""
