@@ -2,13 +2,14 @@
 
 ``evaluate_feasibility`` scores a parameter vector by the minima of its two
 generating polynomials in exact tables; ``search_feasible`` hunts for positive
-pairs by pattern search on float scores in batches and reports the exact score
-of its answer.  For seven steps no feasible vector exists: the positivity
-constraints at the Chebyshev nodes of [-1, 1] form a linear system
-``Q w <= q`` over Q(sqrt(3)), and an explicit nonnegative combination of its
-rows is contradictory.  The whole order-7 pipeline runs in exact arithmetic,
-its products in integers, since a floating-point check of a nonexistence
-statement would be inconclusive.
+pairs by pattern search from starts that walk in lockstep within evaluation
+quotas fixed up front, scores each round's trials of all starts in one float
+batch, and reports the exact score of its answer.  For seven steps no feasible
+vector exists: the positivity constraints at the Chebyshev nodes of [-1, 1]
+form a linear system ``Q w <= q`` over Q(sqrt(3)), and an explicit nonnegative
+combination of its rows is contradictory.  The whole order-7 pipeline runs in
+exact arithmetic, its products in integers, since a floating-point check of a
+nonexistence statement would be inconclusive.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactalg
+from .certify import require_positive
 from .chebpoly import ChebSeries, global_min, global_minima
 from .schemes import (
     ParameterVector,
@@ -203,6 +205,29 @@ class SearchResult:
     evaluations: int
 
 
+def _walk(start, stop, moves):
+    """First-improvement pattern search from ``start`` within ``stop`` evaluations:
+    yields batches of trials, is sent their scores, returns (w, score, evaluations)."""
+    current, evals, step = list(start), 1, 0.5
+    (score,) = yield [current]
+    scales = [max(1.0, abs(x)) for x in current]
+    while step > 1e-6 and evals < stop:
+        improved, tried = False, 0
+        while tried < len(moves) and evals < stop:
+            trials = [list(current) for _ in moves[tried : tried + stop - evals]]
+            for trial, (i, sign) in zip(trials, moves[tried:]):
+                trial[i] += sign * step * scales[i]
+            found = yield trials
+            gain = score + SEARCH_GAIN * abs(score)
+            taken = next((j + 1 for j, s in enumerate(found) if s > gain), len(trials))
+            evals, tried = evals + taken, tried + taken
+            if found[taken - 1] > gain:
+                current, score, improved = trials[taken - 1], found[taken - 1], True
+        if not improved:
+            step /= 2.0
+    return current, score, evals
+
+
 def search_feasible(
     k: int,
     budget: int = 2000,
@@ -216,20 +241,19 @@ def search_feasible(
     k = 6), the BDF point w = 0, and seeded random vectors.  A sweep takes
     each of the moves (0, +), (0, -), (1, +), ... that raises the score by
     more than SEARCH_GAIN of its modulus, so plateau ties do not turn on the
-    last bit of a float sum; its untried moves are scored in float in one
-    batch, re-batched after each taken move, and count as evaluations only
-    up to that move.  The returned vector is re-scored exactly by
-    ``evaluate_feasibility``.  Deterministic for a fixed seed; returns the
-    best candidate found even when infeasible.
+    last bit of a float sum; its untried moves form one batch, re-batched
+    after each taken move, and count as evaluations only up to that move.
+    The starts walk in lockstep within quotas fixed up front, each round
+    scoring all live starts' batches in one float ``global_minima`` call; the
+    best end point is re-scored exactly by ``evaluate_feasibility``.
+    Deterministic for a fixed seed; returns the best candidate even when infeasible.
     """
     if k < 2:
         raise ValueError("search needs k >= 2")
     if budget < 1:
         raise ValueError(f"search budget must be at least 1, got {budget}")
-    if not kappa > 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    kappa = require_positive("kappa", kappa)
     rng = random.Random(seed)
-    evals = 0
     M, c = (np.array(x, dtype=float) for x in series_map(k))  # float once per search
 
     def scores(trials):  # float min(min_a, min_b / kappa), the same for a row in any batch
@@ -244,35 +268,26 @@ def search_feasible(
         starts.append([rng.uniform(-50.0, 50.0) for _ in range(k)])
     share = max(2 * k + 1, budget // len(starts))
     moves = [(i, sign) for i in range(k) for sign in (1.0, -1.0)]  # one sweep
-
+    # Start j gets min(share, budget - j*share) evaluations, as run one after another:
+    # if share = budget // 20 >= 2k+1, 20*share <= budget and the budget never binds;
+    # else share = 2k+1 and no start stops early (that takes 19 step halvings, each
+    # after a failed sweep of 2k evaluations), so start j begins at j*share evaluations.
+    walks = [_walk(start, min(share, budget - j * share), moves)
+             for j, start in enumerate(starts) if j * share < budget]
+    live, ends = {walk: next(walk) for walk in walks}, {}
+    while live:
+        found = iter(scores([trial for batch in live.values() for trial in batch]))
+        for walk, batch in list(live.items()):
+            try:
+                live[walk] = walk.send([next(found) for _ in batch])
+            except StopIteration as end:
+                ends[walk] = end.value
+                del live[walk]
     best_w, best_score = None, -float("inf")
-    for start in starts:
-        if evals >= budget:
-            break
-        stop = min(budget, evals + share)
-        current = list(start)
-        (score,) = scores([current])
-        evals += 1
+    for w, score, _ in map(ends.get, walks):  # scores rise within a walk: its end is its best
         if score > best_score:
-            best_w, best_score = list(current), score
-        scales = [max(1.0, abs(x)) for x in current]
-        step = 0.5
-        while step > 1e-6 and evals < stop:
-            improved, tried = False, 0
-            while tried < len(moves) and evals < stop:
-                trials = [list(current) for _ in moves[tried : tried + stop - evals]]
-                for trial, (i, sign) in zip(trials, moves[tried:]):
-                    trial[i] += sign * step * scales[i]
-                found = scores(trials)
-                gain = score + SEARCH_GAIN * abs(score)
-                taken = next((j + 1 for j, s in enumerate(found) if s > gain), len(trials))
-                evals, tried = evals + taken, tried + taken
-                if found[taken - 1] > gain:
-                    current, score, improved = trials[taken - 1], found[taken - 1], True
-            if score > best_score:
-                best_w, best_score = list(current), score
-            if not improved:
-                step /= 2.0
+            best_w, best_score = w, score
+    evals = sum(used for _, _, used in ends.values())
     w = ParameterVector(tuple(Fraction(x) for x in best_w))
     res = evaluate_feasibility(w)
     return SearchResult(w, res.min_a, res.min_b, res.feasible, evaluations=evals)

@@ -119,8 +119,7 @@ class SpectralFlow:
     """
 
     def __init__(self, model, grid, scheme, tau, states, t0=0.0, source=None):
-        if not tau > 0:
-            raise ValueError(f"tau must be positive, got {tau}")
+        tau = require_positive("tau", tau)
         self.k = k = scheme.k
         if len(states) != k:
             raise ValueError(f"the flow needs exactly k={k} states")
@@ -275,12 +274,11 @@ def gauss_rk6_start(
     ``source(t)``, when given, returns g(t) split as ``discrete_source`` does.
     Stage sweeps stop once the max-norm residual or its contraction estimate is
     <= 1e-14; a substep that will not contract is halved, down to tau/64.  A ``tau``
-    that is not positive (NaN included) raises ValueError before any stage is solved.
+    that is not finite and positive raises ValueError before any stage is solved.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    tau = require_positive("tau", tau)
     background = _background(model, u0)
     mhat = model.m_symbol(grid.k2)
     mhat_lhat = mhat * model.l_symbol(grid.k2)
@@ -450,8 +448,8 @@ def simulate(
     energy is not finite or whose max|u| reaches the model's truncation
     radius, where the certificate no longer holds.  A negative ``n_steps``
     (an end time inside the k-step starting window) raises ValueError before
-    the starter runs, and a ``tau`` that is not positive raises it in the
-    starter, before any stage is solved.
+    the starter runs, and a ``tau`` that is not finite and positive raises it
+    in the starter, before any stage is solved.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps = {n_steps}: T too short for the starting window")

@@ -19,7 +19,7 @@ from imexlmm.barrier import (
     search_feasible,
     verify_farkas_certificate,
 )
-from imexlmm.chebpoly import ChebSeries, evaluate, global_min
+from imexlmm.chebpoly import ChebSeries, evaluate, global_min, global_minima
 from imexlmm.schemes import lmm6_parameters, lmm_from_parameters, reform, series_map
 
 F = Fraction
@@ -391,13 +391,43 @@ def _sequential_search(k, budget, seed, kappa=1.0):
     return [F(x) for x in best_w], evals
 
 
-# (7, 83, 0) stops after 7 of the 14 moves of a sweep
-@pytest.mark.parametrize("k, budget, seed", [(2, 60, 3), (4, 100, 1), (5, 300, 2), (6, 200, 0), (7, 83, 0)])
-def test_batched_search_keeps_sequential_order(k, budget, seed):
-    result = search_feasible(k, budget=budget, seed=seed)
-    w, evaluations = _sequential_search(k, budget, seed)
+# (7, 83, 0) stops after 7 of the 14 moves of a sweep; in (2, 2000, 1) all 20
+# starts stop on step <= 1e-6 before their share of 100, 1720 evaluations in all;
+# (4, 9, 2) runs a single start and (3, 1, 0) only scores it
+@pytest.mark.parametrize("k, budget, seed, kappa", [
+    *(pytest.param(*case, 1.0, id="-".join(map(str, case))) for case in [
+        (2, 60, 3), (4, 100, 1), (5, 300, 2), (6, 200, 0), (7, 83, 0),
+        (2, 2000, 1), (4, 9, 2), (3, 1, 0)]),
+    (5, 300, 2, 0.3),
+])
+def test_batched_search_keeps_sequential_order(k, budget, seed, kappa):
+    result = search_feasible(k, budget=budget, seed=seed, kappa=kappa)
+    w, evaluations = _sequential_search(k, budget, seed, kappa)
     assert list(result.w.w) == w
     assert result.evaluations == evaluations
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_search_scores_each_round_in_one_call(k, monkeypatch):
+    # the starts walk in lockstep, so a search makes at most as many float
+    # scoring calls as one start has evaluations
+    calls = []
+
+    def counted(series):
+        calls.append(len(series))
+        return global_minima(series)
+
+    monkeypatch.setattr(barrier, "global_minima", counted)
+    budget = 100
+    search_feasible(k, budget=budget, seed=1)
+    assert len(calls) <= max(2 * k + 1, budget // barrier.SEARCH_STARTS)
+
+
+@pytest.mark.parametrize("kappa", [0.0, -1.0, float("inf"), float("nan")])
+def test_search_rejects_bad_kappa(kappa):
+    # kappa = inf would clamp every score to min(min_a, 0)
+    with pytest.raises(ValueError, match="kappa must be finite and positive"):
+        search_feasible(3, budget=10, kappa=kappa)
 
 
 @pytest.mark.parametrize("k", range(2, 8))

@@ -195,6 +195,7 @@ def test_determinism_byte_identical(tmp_path, lmm6_file):
          "--tau", "0.01", "--T", "0.1", "--snapshots", "every:0", "--trace", "{out}"],
         ["barrier", "search", "--k", "3", "--budget", "0", "--out", "{out}"],
         ["barrier", "search", "--k", "3", "--kappa", "0", "--out", "{out}"],
+        ["barrier", "search", "--k", "3", "--kappa", "inf", "--out", "{out}"],
         ["simulate", "--model", "ac", "--scheme", "{lmm6}", "--grid", "16",
          "--tau", "0.01", "--T", "0.02", "--trace", "{out}"],
         ["simulate", "--model", "pfc", "--scheme", "{lmm6}", "--grid", "16",
@@ -220,7 +221,8 @@ def test_determinism_byte_identical(tmp_path, lmm6_file):
     ],
     ids=["unknown-flag", "bdf-k9", "negative-ell-f", "missing-scheme",
          "ac-tau-0", "pfc-tau-0", "snapshots-every-0",
-         "search-budget-0", "search-kappa-0", "ac-T-short", "pfc-T-short",
+         "search-budget-0", "search-kappa-0", "search-kappa-inf",
+         "ac-T-short", "pfc-T-short",
          "scheme-empty", "scheme-a-int", "scheme-a-div0", "params-div0",
          "ell-f-nan", "zeta-inf", "domain-negative", "domain-0", "converge-repeated-N",
          "T-inf", "epsilon-nan", "converge-epsilon-nan"],

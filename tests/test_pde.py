@@ -333,15 +333,16 @@ def test_starter_accuracy_on_manufactured_solution():
     assert worst < 1e-13
 
 
-@pytest.mark.parametrize("tau", [0.0, -0.5, float("nan")])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [0.0, -0.5, float("nan"), float("inf")])
 def test_starter_refuses_nonpositive_tau(monkeypatch, tau):
     # tau = 0 would return k copies of u0, tau < 0 states stepped backwards,
-    # and NaN a StarterFailureError after every halving
+    # and NaN or inf a StarterFailureError after every halving
     grid = small_grid(16)
     u0 = 0.1 * np.sin(grid.coordinates()[0])
     calls = []
     monkeypatch.setattr(pde, "_stage_solver", lambda *args: calls.append(args))
-    with pytest.raises(ValueError, match="tau must be positive"):
+    with pytest.raises(ValueError, match="tau must be finite and positive"):
         gauss_rk6_start(allen_cahn(0.1), grid, u0, tau=tau, k=3)
     assert not calls
 
@@ -922,10 +923,12 @@ def test_run_leaving_truncation_interval_raises():
     assert seen and max(seen) < 0.5
 
 
-@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
 def test_nonpositive_tau_is_a_usage_error_before_the_starter(monkeypatch, tau):
     # a bad tau is refused up front, not after the starter halves its substep
-    # six times and reports a StarterFailureError (an internal-invariant class)
+    # six times and reports a StarterFailureError (an internal-invariant class),
+    # for tau = inf with RuntimeWarnings from its divides
     grid = small_grid(16)
     model = allen_cahn(0.1)
     scheme = bdf_coefficients(2)
@@ -935,9 +938,9 @@ def test_nonpositive_tau_is_a_usage_error_before_the_starter(monkeypatch, tau):
         raise AssertionError("the starter solved a stage")
 
     monkeypatch.setattr(pde, "_stage_solver", stage_solver)
-    with pytest.raises(ValueError, match="tau must be positive"):
+    with pytest.raises(ValueError, match="tau must be finite and positive"):
         simulate(model, grid, scheme, None, u0, tau=tau, n_steps=3)
-    with pytest.raises(ValueError, match="tau must be positive"):
+    with pytest.raises(ValueError, match="tau must be finite and positive"):
         SpectralFlow(model, grid, scheme, tau, [u0, u0])
 
 
