@@ -250,8 +250,8 @@ def search_feasible(
     """
     if k < 2:
         raise ValueError("search needs k >= 2")
-    if budget < 1:
-        raise ValueError(f"search budget must be at least 1, got {budget}")
+    if not 1 <= budget < math.inf:  # an infinite budget would make every quota NaN
+        raise ValueError(f"search budget must be finite and at least 1, got {budget}")
     kappa = require_positive("kappa", kappa)
     rng = random.Random(seed)
     M, c = (np.array(x, dtype=float) for x in series_map(k))  # float once per search

@@ -423,6 +423,12 @@ def test_search_scores_each_round_in_one_call(k, monkeypatch):
     assert len(calls) <= max(2 * k + 1, budget // barrier.SEARCH_STARTS)
 
 
+@pytest.mark.parametrize("budget", [0, float("inf"), float("nan")])
+def test_search_rejects_bad_budget(budget):
+    with pytest.raises(ValueError, match="search budget must be finite and at least 1"):
+        search_feasible(3, budget=budget)
+
+
 @pytest.mark.parametrize("kappa", [0.0, -1.0, float("inf"), float("nan")])
 def test_search_rejects_bad_kappa(kappa):
     # kappa = inf would clamp every score to min(min_a, 0)
