@@ -3,9 +3,9 @@
 Operators diagonalize in Fourier space, so each multistep update is a single
 diagonal solve per mode; the cubic nonlinearity is evaluated pointwise in
 physical space.  Starting values come from the 3-stage Gauss collocation
-method (order 6), whose stage system is solved by fixed-point iteration on
-the nonlinearity, the stiff linear part solved per mode from three real
-symbols and each iteration started from the previous substep's prediction.
+method (order 6), whose stage system is solved by fixed-point iteration on the
+nonlinearity, the stiff linear part per mode from three real symbols; a substep
+starts from the last one's extrapolated stages plus the last extrapolation's miss.
 One ``SpectralFlow`` per run holds and advances the transforms of the last
 k states, the run's only history; a certified run's energy tracker reads
 them there.
@@ -225,8 +225,8 @@ def _stages_settled(r, r_prev) -> bool:
 
 def _gauss_substep(model, grid, mhat, w, background, t, h, solve, source, guess=None):
     """One Gauss collocation substep on the deviation field w; mhat is the mobility
-    symbol on grid.k2.  Iterates from ``guess``, or from (w, w, w) when none is
-    given; returns the new w and the stages predicted for the next substep."""
+    symbol on grid.k2.  Iterates from ``guess``, the starter's prediction plus the
+    last one's miss (stages - prediction), or from (w, w, w); returns w+ and stages."""
     w_hat = grid.fft(w).view(np.float64).reshape(-1)
     if source is not None:   # stage-time parts, subtracted before the sweep's transform
         f_stars, g_hats = map(np.stack, zip(*(source(t + c * h) for c in GAUSS_C)))
@@ -238,21 +238,22 @@ def _gauss_substep(model, grid, mhat, w, background, t, h, solve, source, guess=
         if source is not None:
             f -= f_stars
         f_hats = mhat * grid.fft(f)
-        del f       # not held through the stage solve
+        del f       # not held through the stage solve, nor is f_hats
         if source is not None:
             f_hats += g_hats
-        stage_hats = solve(w_hat + (h * GAUSS_A) @ f_hats.view(np.float64).reshape(3, -1))
+        rhs = w_hat + (h * GAUSS_A) @ f_hats.view(np.float64).reshape(3, -1)
+        del f_hats
+        stage_hats = solve(rhs).reshape(3, *grid.shape[:-1], -1)
         # unchecked inverse for iterates: transient non-normal growth of the
         # fixed-point map can push amplified roundoff past the strict gate,
         # and realification per sweep is itself the symmetry enforcement (the
         # self-conjugate planes keep their Hermitian part only, which is the
         # real part of a full inverse)
-        new_stages = np.fft.irfftn(stage_hats.reshape(f_hats.shape), grid.shape, grid.axes)
+        new_stages = np.fft.irfftn(stage_hats, grid.shape, grid.axes)
         residual = float(np.max(np.abs(new_stages - stages)))
         stages = new_stages
         if _stages_settled(residual, residual_prev):
-            w_next = w + np.einsum("i,i...->...", GAUSS_D, stages - w[None])
-            return w_next, np.tensordot(GAUSS_PREDICT, np.stack([w, *stages]), 1)
+            return w + np.einsum("i,i...->...", GAUSS_D, stages - w[None]), stages
         if not np.isfinite(residual) or residual > 4.0 * residual_prev:
             growth += 1
             if growth >= 3 or not np.isfinite(residual):
@@ -295,11 +296,19 @@ def gauss_rk6_start(
                     t = j * tau + m * h
                     args = (model, grid, mhat, w, background, t, h, solve, source)
                     try:
-                        w, guess = _gauss_substep(*args, guess)
+                        w_next, stages = _gauss_substep(*args, guess)
                     except StarterFailureError:
                         if guess is None:
                             raise
-                        w, guess = _gauss_substep(*args)
+                        (w_next, stages), guess = _gauss_substep(*args), None
+                    # the next start: the collocation prediction plus its miss here
+                    if guess is None:       # a flat start, nothing predicted
+                        miss = np.zeros_like(stages)
+                    else:                   # the prediction was guess - miss
+                        miss += stages - guess
+                    guess = np.tensordot(GAUSS_PREDICT, np.stack([w, *stages]), 1)
+                    guess += miss
+                    w, stages = w_next, None
                 states.append(w + background)
             return states
         except StarterFailureError as exc:
@@ -554,6 +563,7 @@ def convergence_study(
     """
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"step counts must increase strictly, got {list(n_list)}")
+    T = require_positive("T", T)
     k = scheme.k
     source = discrete_source(model, grid, solution)
     rows = []

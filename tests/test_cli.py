@@ -218,6 +218,8 @@ def test_determinism_byte_identical(tmp_path, lmm6_file):
          "--tau", "0.01", "--T", "0.1", "--trace", "{out}"],
         ["converge", "--example", "ac", "--scheme", "{lmm6}", "--N", "8,10", "--grid", "16",
          "--epsilon", "nan", "--out", "{out}"],
+        ["converge", "--example", "ac", "--scheme", "{lmm6}", "--N", "8,10", "--grid", "16",
+         "--T", "-1", "--out", "{out}"],
     ],
     ids=["unknown-flag", "bdf-k9", "negative-ell-f", "missing-scheme",
          "ac-tau-0", "pfc-tau-0", "snapshots-every-0",
@@ -225,7 +227,7 @@ def test_determinism_byte_identical(tmp_path, lmm6_file):
          "ac-T-short", "pfc-T-short",
          "scheme-empty", "scheme-a-int", "scheme-a-div0", "params-div0",
          "ell-f-nan", "zeta-inf", "domain-negative", "domain-0", "converge-repeated-N",
-         "T-inf", "epsilon-nan", "converge-epsilon-nan"],
+         "T-inf", "epsilon-nan", "converge-epsilon-nan", "converge-T-negative"],
 )
 def test_usage_error_exit_code(argv, tmp_path, lmm6_file, capsys):
     paths = {"lmm6": lmm6_file, "missing": tmp_path / "missing.json", "out": tmp_path / "out.csv"}
