@@ -238,18 +238,16 @@ def _gauss_substep(model, grid, mhat, w, background, t, h, solve, source, guess=
         if source is not None:
             f -= f_stars
         f_hats = mhat * grid.fft(f)
-        del f       # not held through the stage solve, nor is f_hats
+        del f       # not held through the stage solve
         if source is not None:
             f_hats += g_hats
-        rhs = w_hat + (h * GAUSS_A) @ f_hats.view(np.float64).reshape(3, -1)
-        del f_hats
-        stage_hats = solve(rhs).reshape(3, *grid.shape[:-1], -1)
+        stage_hats = solve(w_hat + (h * GAUSS_A) @ f_hats.view(np.float64).reshape(3, -1))
         # unchecked inverse for iterates: transient non-normal growth of the
         # fixed-point map can push amplified roundoff past the strict gate,
         # and realification per sweep is itself the symmetry enforcement (the
         # self-conjugate planes keep their Hermitian part only, which is the
         # real part of a full inverse)
-        new_stages = np.fft.irfftn(stage_hats, grid.shape, grid.axes)
+        new_stages = np.fft.irfftn(stage_hats.reshape(f_hats.shape), grid.shape, grid.axes)
         residual = float(np.max(np.abs(new_stages - stages)))
         stages = new_stages
         if _stages_settled(residual, residual_prev):
@@ -305,7 +303,8 @@ def gauss_rk6_start(
                     if guess is None:       # a flat start, nothing predicted
                         miss = np.zeros_like(stages)
                     else:                   # the prediction was guess - miss
-                        miss += stages - guess
+                        miss += stages
+                        miss -= guess
                     guess = np.tensordot(GAUSS_PREDICT, np.stack([w, *stages]), 1)
                     guess += miss
                     w, stages = w_next, None
