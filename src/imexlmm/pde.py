@@ -299,7 +299,7 @@ def gauss_rk6_start(
                         if guess is None:
                             raise
                         (w_next, stages), guess = _gauss_substep(*args), None
-                    # the next start: the collocation prediction plus its miss here
+                    # the next start: the collocation prediction plus this substep's miss
                     if guess is None:       # a flat start, nothing predicted
                         miss = np.zeros_like(stages)
                     else:                   # the prediction was guess - miss

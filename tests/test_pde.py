@@ -458,7 +458,7 @@ def test_starter_sweeps_on_all_criterion_8_starters():
 
 
 def test_starter_sweeps_on_the_grain_datum(monkeypatch):
-    # the miss does not help here, whose prediction is poor: 38 sweeps, 37
+    # the prediction is poor here and the miss does not help: 38 sweeps, 37
     # with the prediction uncorrected (the stop is called once per sweep)
     settled = pde._stages_settled
     sweeps = 0
