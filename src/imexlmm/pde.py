@@ -6,6 +6,7 @@ physical space.  Starting values come from the 3-stage Gauss collocation
 method (order 6), whose stage system is solved by fixed-point iteration on the
 nonlinearity, the stiff linear part per mode from three real symbols; a substep
 starts from the last one's extrapolated stages plus the last extrapolation's miss.
+One workspace serves the whole start, and every sweep writes into it in place.
 One ``SpectralFlow`` per run holds and advances the transforms of the last
 k states, the run's only history; a certified run's energy tracker reads
 them there.
@@ -204,17 +205,18 @@ def _stage_solver(mhat_lhat, h):
     of three stacked half spectra, Y complex.  By Cayley-Hamilton (I - sA)^{-1} =
     (q_0 I + q_1 A + q_2 A^2) / p with p = det(I - sA) = q_0 - s^3/120, q_0 = 1 - s/2
     + s^2/10, q_1 = s (1 - s/2), q_2 = s^2; s <= 0, so no term of p or q_0 cancels.
-    Products accumulate in place as (r_0 X + r_1 A X) + r_2 A^2 X; X is left as is."""
+    Products accumulate in place as (r_0 X + r_1 A X) + r_2 A^2 X: Y overwrites X, and A X,
+    A^2 X fill ax, the (6, 2 * modes) block of the start's one workspace."""
     s = h * mhat_lhat
     q0 = 1.0 - s / 2 + s * s / 10
     r = _flat_symbols(np.stack([q0, s * (1.0 - s / 2), s * s]) / (q0 - s * s * s / 120))
 
-    def solve(x):
-        ax = _GAUSS_A_POWERS @ x
-        y = r[0] * x
-        y += np.multiply(r[1], ax[:3], out=ax[:3])
-        y += np.multiply(r[2], ax[3:], out=ax[3:])
-        return y.view(complex)
+    def solve(x, ax):
+        ax = np.matmul(_GAUSS_A_POWERS, x, out=ax)
+        x *= r[0]
+        x += np.multiply(r[1], ax[:3], out=ax[:3])
+        x += np.multiply(r[2], ax[3:], out=ax[3:])
+        return x.view(complex)
     return solve
 
 
@@ -223,35 +225,40 @@ def _stages_settled(r, r_prev) -> bool:
     return r <= STAGE_TOL or (r_prev < np.inf and r * r <= STAGE_TOL * (r_prev - r))
 
 
-def _gauss_substep(model, grid, mhat, w, background, t, h, solve, source, guess=None):
+def _gauss_substep(model, grid, mhat, w, background, t, h, solve, source, work, guess=None):
     """One Gauss collocation substep on the deviation field w; mhat is the mobility
     symbol on grid.k2.  Iterates from ``guess``, the starter's prediction plus the
-    last one's miss (stages - prediction), or from (w, w, w); returns w+ and stages."""
+    last one's miss (stages - prediction), or from (w, w, w); returns w+ and stages, a
+    stack of the start's one workspace ``work``, whose buffers every sweep overwrites."""
+    stages, new, block, rhs, f_stars, g_hats = work
+    f_hats = block[:3].view(complex).reshape((3,) + mhat.shape)
     w_hat = grid.fft(w).view(np.float64).reshape(-1)
     if source is not None:   # stage-time parts, subtracted before the sweep's transform
-        f_stars, g_hats = map(np.stack, zip(*(source(t + c * h) for c in GAUSS_C)))
-    stages = np.stack([w, w, w]) if guess is None else guess
+        for c, f_star, g_hat in zip(GAUSS_C, f_stars, g_hats):
+            f_star[...], g_hat[...] = source(t + c * h)
+    stages[...] = w if guess is None else guess
     residual_prev = np.inf
     growth = 0
     for _ in range(MAX_STAGE_ITERS):
-        f = model.f(stages + background)
+        f = model.f(np.add(stages, background, out=new))
         if source is not None:
             f -= f_stars
-        f_hats = mhat * grid.fft(f)
+        np.multiply(mhat, grid.fft(f, out=f_hats), out=f_hats)
         del f       # not held through the stage solve
         if source is not None:
             f_hats += g_hats
-        stage_hats = solve(w_hat + (h * GAUSS_A) @ f_hats.view(np.float64).reshape(3, -1))
+        np.matmul(h * GAUSS_A, block[:3], out=rhs)
+        stage_hats = solve(np.add(rhs, w_hat, out=rhs), block)
         # unchecked inverse for iterates: transient non-normal growth of the
         # fixed-point map can push amplified roundoff past the strict gate,
         # and realification per sweep is itself the symmetry enforcement (the
         # self-conjugate planes keep their Hermitian part only, which is the
         # real part of a full inverse)
-        new_stages = np.fft.irfftn(stage_hats.reshape(f_hats.shape), grid.shape, grid.axes)
-        residual = float(np.max(np.abs(new_stages - stages)))
-        stages = new_stages
+        np.fft.irfftn(stage_hats.reshape(f_hats.shape), grid.shape, grid.axes, out=new)
+        residual = float(np.max(np.abs(np.subtract(new, stages, out=stages), out=stages)))
+        stages, new = new, stages
         if _stages_settled(residual, residual_prev):
-            return w + np.einsum("i,i...->...", GAUSS_D, stages - w[None]), stages
+            return w + np.einsum("i,i...->...", GAUSS_D, np.subtract(stages, w, out=new)), stages
         if not np.isfinite(residual) or residual > 4.0 * residual_prev:
             growth += 1
             if growth >= 3 or not np.isfinite(residual):
@@ -281,6 +288,10 @@ def gauss_rk6_start(
     background = _background(model, u0)
     mhat = model.m_symbol(grid.k2)
     mhat_lhat = mhat * model.l_symbol(grid.k2)
+    # one workspace per start: stage stacks, the f^ / A X, A^2 X block, rhs, source rows
+    *pair, guess, miss = np.empty((4, 3) + grid.shape)
+    rows = (np.empty_like(guess), np.empty((3,) + mhat.shape, complex)) if source else (None, None)
+    work = (*pair, *np.split(np.empty((9, 2 * grid.k2.size)), [6]), *rows)
     last_error = None
     for halving in range(MAX_SUBSTEP_HALVINGS + 1):
         substeps = 2 ** halving
@@ -288,26 +299,27 @@ def gauss_rk6_start(
         solve = _stage_solver(mhat_lhat, h)
         try:
             states = [np.array(u0, dtype=float, copy=True)]
-            w, guess = u0 - background, None
+            w, predicted = u0 - background, False
             for j in range(k - 1):
                 for m in range(substeps):
                     t = j * tau + m * h
-                    args = (model, grid, mhat, w, background, t, h, solve, source)
+                    args = (model, grid, mhat, w, background, t, h, solve, source, work)
                     try:
-                        w_next, stages = _gauss_substep(*args, guess)
+                        w_next, stages = _gauss_substep(*args, guess if predicted else None)
                     except StarterFailureError:
-                        if guess is None:
+                        if not predicted:
                             raise
-                        (w_next, stages), guess = _gauss_substep(*args), None
+                        (w_next, stages), predicted = _gauss_substep(*args), False
                     # the next start: the collocation prediction plus this substep's miss
-                    if guess is None:       # a flat start, nothing predicted
-                        miss = np.zeros_like(stages)
+                    if not predicted:       # a flat start, nothing predicted
+                        miss[...] = 0.0
                     else:                   # the prediction was guess - miss
                         miss += stages
                         miss -= guess
-                    guess = np.tensordot(GAUSS_PREDICT, np.stack([w, *stages]), 1)
+                    np.dot(GAUSS_PREDICT, np.stack([w, *stages]).reshape(4, -1),
+                           out=guess.reshape(3, -1))
                     guess += miss
-                    w, stages = w_next, None
+                    w, predicted = w_next, True
                 states.append(w + background)
             return states
         except StarterFailureError as exc:
@@ -566,7 +578,6 @@ def convergence_study(
     k = scheme.k
     source = discrete_source(model, grid, solution)
     rows = []
-    prev = None
     for N in n_list:
         if N < k:
             raise ValueError(f"need at least k={k} steps, got {N}")
@@ -585,13 +596,12 @@ def convergence_study(
             source=source, on_state=measure,
         )
         rate_inf = rate_two = None
-        if prev is not None:
+        if rows:
+            prev = rows[-1]
             span = np.log(N / prev.n_steps)
             rate_inf = float(np.log(prev.error_inf / e_inf) / span)
             rate_two = float(np.log(prev.error_two / e_two) / span)
-        row = ConvergenceRow(N, tau, e_inf, rate_inf, e_two, rate_two)
-        rows.append(row)
-        prev = row
+        rows.append(ConvergenceRow(N, tau, e_inf, rate_inf, e_two, rate_two))
     return rows
 
 

@@ -398,7 +398,7 @@ def test_stage_solver_matches_dense_solve():
     s = np.concatenate([[0.0], -np.logspace(-6, 12, 200)])
     rng = np.random.default_rng(11)
     rhs = rng.standard_normal((3, s.size)) + 1j * rng.standard_normal((3, s.size))
-    got = pde._stage_solver(s, 1.0)(rhs.view(np.float64))
+    got = pde._stage_solver(s, 1.0)(rhs.copy().view(np.float64), np.empty((6, 2 * s.size)))
     for p, sp in enumerate(s):
         want = np.linalg.solve(np.eye(3) - sp * pde.GAUSS_A, rhs[:, p])
         assert np.max(np.abs(got[:, p] - want)) <= 1e-13 * np.max(np.abs(want)), sp
@@ -473,9 +473,9 @@ def test_starter_sweeps_on_the_grain_datum(monkeypatch):
     assert sweeps <= 38
 
 
-# traced peak of the criterion-8 PFC starter at N = 25 with the prediction
-# uncorrected (numpy 2.4 on x86-64); the miss adds at most one stage stack
-UNCORRECTED_STARTER_PEAK = 5_432_928
+# traced peak of the criterion-8 PFC starter at N = 25 (numpy 2.4 on x86-64):
+# one workspace for the whole start; 5,826,016 B with fresh stages every sweep
+WORKSPACE_STARTER_PEAK = 5_806_360
 STAGE_STACK_BYTES = 3 * 128 * 128 * 8
 
 
@@ -492,7 +492,35 @@ def test_starter_traced_peak_on_the_criterion_8_pfc_case():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= UNCORRECTED_STARTER_PEAK + STAGE_STACK_BYTES
+    assert peak <= WORKSPACE_STARTER_PEAK
+
+
+@pytest.mark.parametrize("case", ["AC", "PFC"])
+def test_stage_sweep_allocates_at_most_two_and_a_half_stage_stacks(monkeypatch, case):
+    # every sweep writes into the start's workspace, so what it allocates above
+    # the memory held at the last stop is f's result and temporary and the
+    # inverse's complex pass: 2.0 stacks, 2.3 in a substep's first sweep.
+    # Fresh stage-sized temporaries every sweep read 4.1, at most 4.4
+    settled = pde._stages_settled
+    held, peaks = [None], []
+
+    def traced(residual, residual_prev):
+        current, peak = tracemalloc.get_traced_memory()
+        if held[0] is not None:     # the first stop's peak holds the workspace itself
+            peaks.append((peak - held[0]) / STAGE_STACK_BYTES)
+        tracemalloc.reset_peak()
+        held[0] = current
+        return settled(residual, residual_prev)
+
+    _run_starter(case)      # warm caches
+    monkeypatch.setattr(pde, "_stages_settled", traced)
+    tracemalloc.start()
+    try:
+        _run_starter(case)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) >= 15
+    assert max(peaks) <= 2.5, peaks
 
 
 def _run_starter(case):
