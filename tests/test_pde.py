@@ -502,14 +502,15 @@ def test_stage_sweep_allocates_at_most_two_and_a_half_stage_stacks(monkeypatch, 
     # inverse's complex pass: 2.0 stacks, 2.3 in a substep's first sweep.
     # Fresh stage-sized temporaries every sweep read 4.1, at most 4.4
     settled = pde._stages_settled
-    held, peaks = [None], []
+    held, peaks = None, []
 
     def traced(residual, residual_prev):
+        nonlocal held
         current, peak = tracemalloc.get_traced_memory()
-        if held[0] is not None:     # the first stop's peak holds the workspace itself
-            peaks.append((peak - held[0]) / STAGE_STACK_BYTES)
+        if held is not None:        # the first stop's peak holds the workspace itself
+            peaks.append((peak - held) / STAGE_STACK_BYTES)
         tracemalloc.reset_peak()
-        held[0] = current
+        held = current
         return settled(residual, residual_prev)
 
     _run_starter(case)      # warm caches
