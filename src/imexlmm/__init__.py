@@ -21,12 +21,11 @@ from .certify import (
     ModelConstants,
     build_U,
     certify_scheme,
-    gamma_max,
     recover_G,
     spectral_factorize,
     tau_max_bound,
 )
-from .chebpoly import ChebSeries, MinResult, derivative_coeffs, evaluate, global_min
+from .chebpoly import ChebSeries, MinResult, evaluate, global_min
 from .models import Grid, ModelSpec, allen_cahn, cahn_hilliard, pfc
 from .pde import (
     EnergyTrace,

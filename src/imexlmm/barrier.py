@@ -14,7 +14,6 @@ nonexistence statement would be inconclusive.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -295,33 +294,37 @@ def search_feasible(
 
 @dataclass(frozen=True)
 class FarkasSystem:
-    """Exact inequality system Q w <= q; every product runs on its integer rows."""
+    """Exact inequality system Q w <= q, stored as integer rows: row i of
+    (-Q | q) is (P_i + sqrt(3) R_i) / den, and every product runs on P and R."""
 
     k: int
-    Q: tuple  # 2k rows x k columns of QuadExt
-    q: tuple  # length 2k
+    den: int
+    P: tuple  # 2k rows x (k+1) integers
+    R: tuple
 
-    @functools.cached_property
-    def _integer_rows(self) -> tuple:
-        # rows (-Q_i, q_i) = (P_i + sqrt(3) R_i) / den: P = [-Qp | qp], R = [-Qq | qq]
-        rows = [(*row, qi) for row, qi in zip(self.Q, self.q)]
-        den = math.lcm(*(c.denominator for row in rows for x in row for c in (x.p, x.q)))
-        sign = [-1] * self.k + [1]
-        return den, *([[s * c.numerator * (den // c.denominator) for s, c in zip(sign, row)]
-                       for row in ([getattr(x, part) for x in r] for r in rows)] for part in "pq")
+    def _rows(self) -> list:  # (-Q | q) over Q(sqrt(3)), the view Q and q read off
+        return [[QuadExt(Fraction(p, self.den), Fraction(r, self.den)) for p, r in zip(*pair)]
+                for pair in zip(self.P, self.R)]
+
+    @property
+    def Q(self) -> tuple:
+        return tuple(tuple(-x for x in row[:-1]) for row in self._rows())
+
+    @property
+    def q(self) -> tuple:
+        return tuple(row[-1] for row in self._rows())
 
     def residuals(self, w) -> list:
         """q - Q w for rational w; feasibility of w means all entries nonnegative."""
-        den, P, R = self._integer_rows
         w = [Fraction(x) for x in w]
         scale = math.lcm(*(x.denominator for x in w))
         v = [x.numerator * (scale // x.denominator) for x in w] + [scale]
-        return [QuadExt(Fraction(p, den * scale), Fraction(r, den * scale))
-                for p, r in zip(exactalg.matvec(P, v), exactalg.matvec(R, v))]
+        return [QuadExt(Fraction(p, self.den * scale), Fraction(r, self.den * scale))
+                for p, r in zip(exactalg.matvec(self.P, v), exactalg.matvec(self.R, v))]
 
     def left_product(self, v) -> list:
         """sum_i v_i (-Q_i, q_i) for a QuadExt vector v: -Q^T v followed by q^T v."""
-        den, P, R = self._integer_rows
+        den, P, R = self.den, self.P, self.R
         scale = math.lcm(*(c.denominator for x in v for c in (x.p, x.q)))
         a, b = ([int(getattr(x, part) * scale) for x in v] for part in "pq")
         pa, pb, ra, rb = (exactalg.matvec(zip(*rows), x) for rows in (P, R) for x in (a, b))
@@ -338,7 +341,8 @@ def build_farkas_system(k: int = 7) -> FarkasSystem:
     the residuals ``q - Q w`` are ``Z a(w)`` followed by ``Z b(w)``, so Q
     and q are read off the exact affine map ``series_map(k)``.  Exact
     assembly requires the cosines to lie in Q(sqrt(3)), i.e. (k-1) | 6.
-    The products are integer: 2 Z = Zp + sqrt(3) Zq (entries 0, +-1, +-2) by D [M | c].
+    The rows 2 D (-Q | q) = P + sqrt(3) R are the integer products of
+    2 Z = Zp + sqrt(3) Zq (entries 0, +-1, +-2) with D [M | c].
     """
     if k < 2:
         raise ValueError("need k >= 2")
@@ -348,10 +352,7 @@ def build_farkas_system(k: int = 7) -> FarkasSystem:
     A = [[x.numerator * (D // x.denominator) for x in (*row, ci)] for row, ci in zip(M, c)]
     Zp, Zq = ([[int(2 * getattr(x, part)) for x in row] for row in Z] for part in "pq")
     P, R = (exactalg.matmul(Zx, A[:k]) + exactalg.matmul(Zx, A[k:]) for Zx in (Zp, Zq))
-    den, sign = 2 * D, [-1] * k + [1]
-    rows = [[QuadExt(Fraction(s * p, den), Fraction(s * r, den)) for s, p, r in zip(sign, *pair)]
-            for pair in zip(P, R)]
-    return FarkasSystem(k, tuple(tuple(row[:k]) for row in rows), tuple(row[k] for row in rows))
+    return FarkasSystem(k, 2 * D, *(tuple(map(tuple, rows)) for rows in (P, R)))
 
 
 def _sparse_vector(entries: dict, length: int = 14) -> tuple:

@@ -12,7 +12,6 @@ admissible step bound.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ __all__ = [
     "ModelConstants",
     "EnergyCertificate",
     "DissipationReport",
-    "gamma_max",
     "spectral_factorize",
     "build_U",
     "recover_G",
@@ -76,15 +74,6 @@ class EnergyCertificate:
     G: np.ndarray
 
 
-def _as_series(values) -> ChebSeries:
-    return values if isinstance(values, ChebSeries) else ChebSeries(tuple(values))
-
-
-def gamma_max(s) -> float:
-    """Largest admissible gamma: the minimum of the generating series."""
-    return global_min(_as_series(s)).min_value
-
-
 def series_from_factor(p, gamma: float) -> np.ndarray:
     """Invert the factorization: s_0 = gamma + sum p_i^2,
     s_m = 2 sum_i p_i p_{i+m}."""
@@ -111,7 +100,7 @@ def spectral_factorize(s, gamma: float) -> np.ndarray:
     |z| < 1.  The leading scale is fixed positive, so p is deterministic up
     to that sign.
     """
-    series = _as_series(s)
+    series = s if isinstance(s, ChebSeries) else ChebSeries(tuple(s))
     k = series.k
     res = global_min(series)
     slack = _GAMMA_SLACK * max(1.0, abs(res.min_value))
@@ -195,16 +184,12 @@ def recover_G(U: np.ndarray) -> np.ndarray:
     return G
 
 
-def _eta_bar(eta: float) -> float:
-    return (1.0 - eta) / eta
-
-
 def tau_max_bound(alpha: float, beta: float, chat1: float, constants: ModelConstants) -> float:
     """Admissible step bound tau_max = alpha * beta^eta_bar /
     (|l_f/2 + 2 l_f chat1|^(1+eta_bar) * eta * (1-eta)^eta_bar * zeta^(2+2 eta_bar)),
     with the 0^0 = 1 convention at eta = 1."""
     eta = constants.eta
-    eb = _eta_bar(eta)
+    eb = (1.0 - eta) / eta
     lf = constants.ell_f
     denom_base = abs(lf / 2.0 + 2.0 * lf * chat1)
 
@@ -255,9 +240,6 @@ class DissipationReport:
             "refused": self.refused,
             "refusal_reason": self.refusal_reason,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
 
 
 def _certificate(values, gamma: float) -> EnergyCertificate:

@@ -23,7 +23,6 @@ __all__ = [
     "ChebSeries",
     "MinResult",
     "evaluate",
-    "derivative_coeffs",
     "global_min",
     "global_minima",
 ]
@@ -69,15 +68,6 @@ def evaluate(series: ChebSeries, x):
         raise ValueError("evaluation point outside [-1, 1]")
     out = cheb.chebval(xa, series.s)
     return float(out) if out.ndim == 0 else out
-
-
-def derivative_coeffs(series: ChebSeries) -> ChebSeries:
-    """Coefficients of d/dx in the same basis, with the series' length k.
-
-    The series is padded with one trailing zero before differentiating, so
-    the result keeps length k and ends in an exact zero.
-    """
-    return ChebSeries(tuple(cheb.chebder((*series.s, 0.0))))
 
 
 def _accepted(roots):

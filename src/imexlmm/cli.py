@@ -56,6 +56,8 @@ def _echo_config(args: argparse.Namespace):
 
 def _load_scheme(path: str) -> schemes.SchemeCoefficients:
     text = _out_path(path).read_text()
+    while text.startswith("#"):  # a config echo captured with the table from stdout
+        text = text.partition("\n")[2]
     try:
         return schemes.scheme_from_json(text)
     except (KeyError, TypeError, ZeroDivisionError) as exc:
@@ -81,10 +83,6 @@ def _parse_fraction_list(text: str):
         raise ValueError(f"bad fraction list {text!r}: {exc}") from exc
 
 
-def _parse_complex(text: str) -> complex:
-    return complex(text.replace("i", "j").replace(" ", ""))
-
-
 # ---------------------------------------------------------------- scheme ---
 
 def cmd_scheme(args) -> int:
@@ -106,7 +104,7 @@ def cmd_certify(args) -> int:
     scheme = _load_scheme(args.scheme)
     constants = certify.ModelConstants(ell_f=args.ell_f, zeta=args.zeta, eta=args.eta)
     report = certify.certify_scheme(scheme, constants, gamma_fraction=args.gamma_fraction)
-    text = report.to_json(indent=2) + "\n"
+    text = json.dumps(report.to_json_dict(), indent=2) + "\n"
     _write_text(args.out, text)
     if report.refused:
         print(f"refused: {report.refusal_reason}", file=sys.stderr)
@@ -150,7 +148,7 @@ def cmd_stability_slice(args) -> int:
     result = stability.region_slice(
         scheme,
         plane=args.plane,
-        fixed_value=_parse_complex(args.zi),
+        fixed_value=complex(args.zi.replace("i", "j").replace(" ", "")),
         window=window,
         resolution=args.resolution,
     )

@@ -522,9 +522,6 @@ class ManufacturedSolution:
     def u(self, t: float) -> np.ndarray:
         return self.amplitude(t) * self.mode
 
-    def u_t(self, t: float) -> np.ndarray:
-        return self.rate(t) * self.mode
-
 
 def discrete_source(model: ModelSpec, grid: Grid, solution: ManufacturedSolution):
     """Source g = u*_t - M(L u* + f(u*)) under the discrete operators, so the

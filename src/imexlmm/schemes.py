@@ -77,23 +77,6 @@ class SchemeCoefficients:
         if sum(self.B) != 1 or sum(self.Bhat) != 1:
             raise SchemeError("normalization sum(B) = sum(Bhat) = 1 violated")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "A": [str(x) for x in self.A],
-            "B": [str(x) for x in self.B],
-            "Bhat": [str(x) for x in self.Bhat],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SchemeCoefficients":
-        return cls(
-            k=int(d["k"]),
-            A=tuple(Fraction(x) for x in d["A"]),
-            B=tuple(Fraction(x) for x in d["B"]),
-            Bhat=tuple(Fraction(x) for x in d["Bhat"]),
-        )
-
 
 @dataclass(frozen=True)
 class ReformedCoefficients:
@@ -284,8 +267,20 @@ def verify_order_conditions(s: SchemeCoefficients) -> OrderReport:
 
 
 def scheme_to_json(s: SchemeCoefficients, indent: int = 2) -> str:
-    return json.dumps(s.to_json_dict(), indent=indent)
+    table = {
+        "k": s.k,
+        "A": [str(x) for x in s.A],
+        "B": [str(x) for x in s.B],
+        "Bhat": [str(x) for x in s.Bhat],
+    }
+    return json.dumps(table, indent=indent)
 
 
 def scheme_from_json(text: str) -> SchemeCoefficients:
-    return SchemeCoefficients.from_json_dict(json.loads(text))
+    table = json.loads(text)
+    return SchemeCoefficients(
+        k=int(table["k"]),
+        A=tuple(Fraction(x) for x in table["A"]),
+        B=tuple(Fraction(x) for x in table["B"]),
+        Bhat=tuple(Fraction(x) for x in table["Bhat"]),
+    )

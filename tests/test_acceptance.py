@@ -15,7 +15,6 @@ from imexlmm.certify import (
     ModelConstants,
     build_U,
     certify_scheme,
-    gamma_max,
     recover_G,
     series_from_factor,
     spectral_factorize,
@@ -103,7 +102,7 @@ def test_criterion_03_certificate_matrices():
     }
     for k, (expected, tol) in published.items():
         series = bdf_vector(k)
-        gamma = gamma_max(series)
+        gamma = global_min(series).min_value
         G = recover_G(build_U(spectral_factorize(series, gamma), gamma))
         err = np.max(np.abs(G - np.array(expected)))
         assert err < tol, f"k={k}: max error {err:.2e} vs tolerance {tol}"
@@ -265,7 +264,7 @@ def test_criterion_10_property_suites():
         gamma = float(rng.uniform(0.1, 2.0))
         s = series_from_factor(p, gamma)
         series = ChebSeries(tuple(s))
-        gmax = gamma_max(series)
+        gmax = global_min(series).min_value
         gamma_new = float(rng.uniform(0.05, 1.0)) * gmax
         p_new = spectral_factorize(series, gamma_new)
         back = series_from_factor(p_new, gamma_new)

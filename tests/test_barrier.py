@@ -152,6 +152,20 @@ def _random_rational(rng, large):
     return F(rng.randint(-40, 40), rng.randint(1, 12))
 
 
+@pytest.mark.parametrize("k", [4, 7])
+def test_residuals_match_quadext_assembly(k):
+    # q - Q w by QuadExt sums over the assembly oracle; the k = 7 nodes carry
+    # sqrt(3), so its residuals check the sqrt(3) part of the integer rows too
+    Q, q = _quadext_assembly(k)
+    system = build_farkas_system(k)
+    rng = random.Random(500 + k)
+    for trial in range(12):
+        w = [_random_rational(rng, trial % 2 == 0) for _ in range(k)]
+        expected = [qi - sum((x * wj for x, wj in zip(row, w)), start=q3(0))
+                    for row, qi in zip(Q, q)]
+        assert system.residuals(w) == expected
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 7])
 def test_left_product_matches_quadext_sums(k):
     system = build_farkas_system(k)
@@ -229,9 +243,9 @@ def _break_lambda_kernel(monkeypatch):
     # Q in row 13, where lambda is 1, then leaves lambda outside the kernel
     system = build_farkas_system(7)
     lam = certificate_multipliers()
-    Q = [list(row) for row in system.Q]
-    Q[12][6] = Q[12][6] + q3(1)
-    broken = FarkasSystem(k=7, Q=tuple(tuple(row) for row in Q), q=system.q)
+    P = [list(row) for row in system.P]
+    P[12][6] -= system.den  # Q[12][6] + 1: row i of den (-Q | q) is P_i + sqrt(3) R_i
+    broken = FarkasSystem(7, system.den, tuple(map(tuple, P)), system.R)
     monkeypatch.setattr(barrier, "build_farkas_system", lambda k: broken)
     monkeypatch.setattr(barrier, "kernel_vectors", lambda: ((q3(0),) * 14,) * 3)
     monkeypatch.setattr(barrier, "certificate_multipliers", lambda: lam)
@@ -239,7 +253,8 @@ def _break_lambda_kernel(monkeypatch):
 
 def _flip_q_sign(monkeypatch):
     system = build_farkas_system(7)
-    flipped = FarkasSystem(k=7, Q=system.Q, q=tuple(-x for x in system.q))
+    P, R = (tuple((*row[:-1], -row[-1]) for row in rows) for rows in (system.P, system.R))
+    flipped = FarkasSystem(7, system.den, P, R)
     monkeypatch.setattr(barrier, "build_farkas_system", lambda k: flipped)
 
 
@@ -261,11 +276,11 @@ def test_certificate_refuses_corrupted_input(corrupt, message, monkeypatch):
 
 
 def test_kernel_vectors_annihilate_Q():
-    system = build_farkas_system(7)
+    Q = build_farkas_system(7).Q
 
     def qt(vec):
         return [
-            sum((system.Q[i][j] * vec[i] for i in range(14)), start=q3(0))
+            sum((Q[i][j] * vec[i] for i in range(14)), start=q3(0))
             for j in range(7)
         ]
 

@@ -1,4 +1,4 @@
-"""Chebyshev series evaluation, differentiation and global minimum."""
+"""Chebyshev series evaluation and global minimum."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from imexlmm.chebpoly import (
     INTERVAL_TOL,
     REAL_TOL,
     ChebSeries,
-    derivative_coeffs,
     evaluate,
     global_min,
     global_minima,
@@ -58,35 +57,6 @@ def test_eval_matches_cosine_expansion():
         for theta in thetas:
             direct = sum(c * np.cos(m * theta) for m, c in enumerate(s.s))
             assert abs(evaluate(s, np.cos(theta)) - direct) < 1e-12
-
-
-def test_derivative_of_t1_is_one():
-    d = derivative_coeffs(ChebSeries((0.0, 1.0)))
-    assert d.s == (1.0, 0.0)
-
-
-def test_derivative_of_t2():
-    d = derivative_coeffs(ChebSeries((0.0, 0.0, 1.0)))
-    assert d.s == (0.0, 4.0, 0.0)
-
-
-def test_derivative_of_bdf3_vector():
-    d = derivative_coeffs(BDF3_A)
-    assert d.s[0] == pytest.approx(-7.0 / 6.0, abs=1e-15)
-    assert d.s[1] == pytest.approx(4.0 / 3.0, abs=1e-15)
-    assert d.s[2] == 0.0
-
-
-def test_derivative_matches_finite_differences():
-    rng = np.random.default_rng(3)
-    h = 1e-5
-    for _ in range(10):
-        k = rng.integers(2, 9)
-        s = ChebSeries(tuple(rng.uniform(-1, 1, k)))
-        d = derivative_coeffs(s)
-        xs = rng.uniform(-0.9, 0.9, 100)
-        fd = (evaluate(s, xs + h) - evaluate(s, xs - h)) / (2 * h)
-        assert np.max(np.abs(fd - evaluate(d, xs))) < 1e-7
 
 
 def test_global_min_bdf_family():

@@ -91,6 +91,21 @@ def test_json_goes_to_stdout_without_out(argv, key, capsys):
     assert key in json.loads(text)
 
 
+def test_scheme_stdout_loads_as_a_scheme_file(tmp_path, lmm6_file, capsys):
+    # stdout leads with the config echo; a scheme file is read past leading # lines
+    assert run(["scheme", "lmm6"]) == 0
+    piped = tmp_path / "piped.json"
+    piped.write_text(capsys.readouterr().out)
+    assert piped.read_text().startswith("# config:")
+    reports = []
+    for scheme in (piped, lmm6_file):
+        out = tmp_path / f"report-{scheme.stem}.json"
+        assert run(["certify", "--scheme", str(scheme), "--ell-f", "10.75",
+                    "--zeta", "1.0478", "--eta", "0.5", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_barrier_verify_prints_exact_value(capsys):
     assert run(["barrier", "verify"]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,5 @@
 """Grid primitives, Gauss starter, stepping, energies, experiments."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -416,61 +415,61 @@ def test_starter_calls_no_dense_linear_algebra(monkeypatch):
     assert len(states) == 4
 
 
-def _criterion_8_starter_sweeps(model, n_steps):
-    """Fixed-point sweeps of the criterion-8 starter for N = n_steps (tau = 1/N)."""
+def _record_sweeps(monkeypatch):
+    """The residual of every fixed-point sweep of the Gauss starter, in order:
+    its stop test runs once a sweep, whatever the grid's dimension."""
+    residuals = []
+    settled = pde._stages_settled
+
+    def spy(residual, residual_prev):
+        residuals.append(residual)
+        return settled(residual, residual_prev)
+
+    monkeypatch.setattr(pde, "_stages_settled", spy)
+    return residuals
+
+
+def _start_criterion_8(model, n_steps):
+    """The criterion-8 starter for N = n_steps (tau = 1/N)."""
     grid = Grid((128, 128), (2 * np.pi, 2 * np.pi))
     solution = trig_mode_solution(grid)
     source = discrete_source(model, grid, solution)
-    sweeps = 0
-
-    def f(u):
-        nonlocal sweeps
-        sweeps += u.ndim == 3       # the three stages, stacked
-        return model.f(u)
-
-    counted = dataclasses.replace(model, f=f)
-    states = gauss_rk6_start(counted, grid, solution.u(0.0), 1.0 / n_steps, k=6, source=source)
+    states = gauss_rk6_start(model, grid, solution.u(0.0), 1.0 / n_steps, k=6, source=source)
     assert len(states) == 6
-    return sweeps
 
 
-def test_starter_sweeps_on_the_criterion_8_pfc_case():
+def test_starter_sweeps_on_the_criterion_8_pfc_case(monkeypatch):
     # stages predicted and corrected by the last prediction's miss, and the
     # contraction stop: 23 fixed-point sweeps for the five substeps; 27 with
     # the prediction uncorrected, 36 when every substep starts from (w, w, w)
-    assert _criterion_8_starter_sweeps(pfc(0.01), 25) <= 23
+    sweeps = _record_sweeps(monkeypatch)
+    _start_criterion_8(pfc(0.01), 25)
+    assert len(sweeps) <= 23
 
 
-def test_starter_sweeps_on_the_criterion_8_ac_case():
+def test_starter_sweeps_on_the_criterion_8_ac_case(monkeypatch):
     # 20 sweeps; 26 with the prediction uncorrected
-    assert _criterion_8_starter_sweeps(allen_cahn(0.01), 25) <= 20
+    sweeps = _record_sweeps(monkeypatch)
+    _start_criterion_8(allen_cahn(0.01), 25)
+    assert len(sweeps) <= 20
 
 
-def test_starter_sweeps_on_all_criterion_8_starters():
+def test_starter_sweeps_on_all_criterion_8_starters(monkeypatch):
     # both tables, N = 25, 40, 50, 64, 80: 170 sweeps; 213 with the
     # prediction uncorrected
-    sweeps = sum(
-        _criterion_8_starter_sweeps(model, n)
-        for model in (allen_cahn(0.01), pfc(0.01))
-        for n in (25, 40, 50, 64, 80)
-    )
-    assert sweeps <= 170
+    sweeps = _record_sweeps(monkeypatch)
+    for model in (allen_cahn(0.01), pfc(0.01)):
+        for n in (25, 40, 50, 64, 80):
+            _start_criterion_8(model, n)
+    assert len(sweeps) <= 170
 
 
 def test_starter_sweeps_on_the_grain_datum(monkeypatch):
     # the prediction is poor here and the miss does not help: 38 sweeps, 37
-    # with the prediction uncorrected (the stop is called once per sweep)
-    settled = pde._stages_settled
-    sweeps = 0
-
-    def counted(residual, residual_prev):
-        nonlocal sweeps
-        sweeps += 1
-        return settled(residual, residual_prev)
-
-    monkeypatch.setattr(pde, "_stages_settled", counted)
+    # with the prediction uncorrected
+    sweeps = _record_sweeps(monkeypatch)
     _run_starter("grain")
-    assert sweeps <= 38
+    assert len(sweeps) <= 38
 
 
 # traced peak of the criterion-8 PFC starter at N = 25 (numpy 2.4 on x86-64):
@@ -918,29 +917,27 @@ def test_sourced_gauss_sweep_costs_as_many_transforms_as_unsourced(monkeypatch):
     model = allen_cahn(0.01)
     solution = trig_mode_solution(grid)
     source = discrete_source(model, grid, solution)     # its set-up transform is not counted
-    counts = {"ffts": 0, "sweeps": 0}
+    ffts = 0
 
     def counted(fn):
         def wrapper(*args, **kwargs):
-            counts["ffts"] += 1
+            nonlocal ffts
+            ffts += 1
             return fn(*args, **kwargs)
         return wrapper
-
-    def f(u):
-        counts["sweeps"] += u.ndim == 3     # the three stages, stacked
-        return model.f(u)
 
     for name in FFT_NAMES:
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     tried = _record_substeps(monkeypatch)
+    sweeps = _record_sweeps(monkeypatch)
     per_sweep = []
     for src in (None, source):
-        counts.update(ffts=0, sweeps=0)
+        ffts = 0
         tried.clear()
-        counted_model = dataclasses.replace(model, f=f)
-        gauss_rk6_start(counted_model, grid, solution.u(0.0), 1.0 / 25, k=6, source=src)
-        assert tried == [1.0 / 25] and counts["sweeps"] > 0
-        per_sweep.append((counts["ffts"] - 5) / counts["sweeps"])
+        sweeps.clear()
+        gauss_rk6_start(model, grid, solution.u(0.0), 1.0 / 25, k=6, source=src)
+        assert tried == [1.0 / 25] and sweeps
+        per_sweep.append((ffts - 5) / len(sweeps))
     assert per_sweep == [2.0, 2.0]
 
 
@@ -969,7 +966,7 @@ def test_sourced_update_matches_full_spectrum_oracle(model):
         u, t = states[scheme.k - i], times[scheme.k - i]
         w_hat = np.fft.fftn(u - background)
         f_hat = np.fft.fftn(model.f(u))
-        g_hat = np.fft.fftn(solution.u_t(t)) - m * (l * np.fft.fftn(u) + f_hat)
+        g_hat = np.fft.fftn(solution.rate(t) * solution.mode) - m * (l * np.fft.fftn(u) + f_hat)
         rhs += -A[i] * w_hat + tau * m * (B[i] * l * w_hat + Bhat[i - 1] * f_hat)
         rhs += tau * Bhat[i - 1] * g_hat
     want = np.fft.ifftn(rhs / (A[0] - tau * m * B[0] * l)).real + background

@@ -126,6 +126,20 @@ def test_bdf6_order_six():
     assert verify_order_conditions(bdf_coefficients(6)).order == 6
 
 
+@pytest.mark.parametrize("scheme", [*map(bdf_coefficients, range(1, 7)), lmm6_scheme()],
+                         ids=[*(f"bdf{k}" for k in range(1, 7)), "lmm6"])
+def test_order_is_exactly_the_step_count(scheme):
+    assert verify_order_conditions(scheme).order == scheme.k
+
+
+@pytest.mark.parametrize("k, p", [(k, p) for k in range(2, 7) for p in range(1, k)])
+def test_bdf_padded_with_zero_lags_keeps_its_order(k, p):
+    # BDF_p written as a k-step table: every order below k, odd ones included
+    s, pad = bdf_coefficients(p), (0,) * (k - p)
+    padded = SchemeCoefficients(k=k, A=s.A + pad, B=s.B + pad, Bhat=s.Bhat + pad)
+    assert verify_order_conditions(padded).order == p
+
+
 def test_perturbed_table_reports_order_zero():
     s = bdf_coefficients(2)
     broken = SchemeCoefficients(

@@ -105,6 +105,43 @@ def test_module_imports_are_read():
     assert not unread, f"imports never read: {unread}"
 
 
+# functions kept though nothing in src/ calls them, each with its reason
+NO_SRC_CALLER = {
+    "barrier.py:Q": "the QuadExt view of the integer rows that the golden tables compare",
+    "barrier.py:residuals": "q - Q w in exact arithmetic: the assembly oracle of the rows",
+    "chebpoly.py:evaluate": "perfbench/workloads.py and the chebpoly tests evaluate series",
+    "schemes.py:parameters_from_scheme": "the round-trip oracle of lmm_from_parameters",
+    "stability.py:root_condition": "the reference root test of test_stability.py and criterion 7",
+}
+
+
+def test_module_functions_have_a_caller_in_src():
+    # a function or method that only tests or perfbench call fails here unless
+    # NO_SRC_CALLER names it; by name, over src/ less __init__.py, and reads
+    # inside a function's own definition do not count
+    defined, reads = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            defined += [(path.name, item) for item in members
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append((path.name, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, []).append((path.name, node.lineno))
+    assert defined
+    uncalled = [f"{module}:{item.name}" for module, item in defined
+                if all(where == module and item.lineno <= line <= item.end_lineno
+                       for where, line in reads.get(item.name, []))]
+    assert sorted(uncalled) == sorted(NO_SRC_CALLER), (
+        f"list in NO_SRC_CALLER with a reason, or delete: {uncalled}")
+
+
 def test_module_functions_are_read():
     # a function or method whose last caller is deleted fails here; by name,
     # over src/, tests/ and perfbench/; dunder methods run implicitly
