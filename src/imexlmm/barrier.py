@@ -193,6 +193,7 @@ def evaluate_feasibility(w) -> FeasibilityResult:
 
 SEARCH_STARTS = 20  # pattern-search starting points per call
 SEARCH_GAIN = 1e-12  # a move is taken only if it raises the score by this share of |score|
+SEARCH_BATCH = 2  # untried moves a live walk sends per round
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,7 @@ def _walk(start, stop, moves):
     while step > 1e-6 and evals < stop:
         improved, tried = False, 0
         while tried < len(moves) and evals < stop:
-            trials = [list(current) for _ in moves[tried : tried + stop - evals]]
+            trials = [list(current) for _ in moves[tried : tried + min(SEARCH_BATCH, stop - evals)]]
             for trial, (i, sign) in zip(trials, moves[tried:]):
                 trial[i] += sign * step * scales[i]
             found = yield trials
@@ -235,15 +236,15 @@ def search_feasible(
 ) -> SearchResult:
     """Derivative-free search for a feasible parameter vector.
 
-    Maximizes min(min_a, min_b/kappa) by coordinate pattern search with
-    step halving from SEARCH_STARTS starts: the known six-step point (when
-    k = 6), the BDF point w = 0, and seeded random vectors.  A sweep takes
-    each of the moves (0, +), (0, -), (1, +), ... that raises the score by
-    more than SEARCH_GAIN of its modulus, so plateau ties do not turn on the
-    last bit of a float sum; its untried moves form one batch, re-batched
-    after each taken move, and count as evaluations only up to that move.
-    The starts walk in lockstep within quotas fixed up front, each round
-    scoring all live starts' batches in one float ``global_minima`` call; the
+    Maximizes min(min_a, min_b/kappa) by coordinate pattern search with step halving
+    from SEARCH_STARTS starts: the known six-step point (when k = 6), the BDF point w = 0,
+    and seeded random vectors.  A sweep takes each of the moves (0, +), (0, -), (1, +),
+    ... that raises the score by more than SEARCH_GAIN of its modulus, so plateau ties
+    do not turn on the last bit of a float sum.  Each round a walk sends only its next
+    SEARCH_BATCH untried moves, counted as evaluations up to the first taken move: two
+    a round score few moves past an improvement (they are thrown away) and still make
+    few scoring calls.  The starts walk in lockstep within quotas fixed up front, each
+    round scoring all live starts' batches in one float ``global_minima`` call; the
     best end point is re-scored exactly by ``evaluate_feasibility``.
     Deterministic for a fixed seed; returns the best candidate even when infeasible.
     """

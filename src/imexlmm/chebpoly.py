@@ -14,6 +14,7 @@ that endpoint.  The minimum is the least value over the candidates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,15 @@ def _accepted(roots):
     return (np.abs(roots.imag) <= REAL_TOL * np.maximum(1.0, re)) & (re <= 1.0 + INTERVAL_TOL)
 
 
+@functools.lru_cache(maxsize=None)
+def _colleague(g: int):
+    """Read-only colleague matrix of T_g and chebcompanion's column scale scl / scl[-1]."""
+    scl = np.array([1.0] + [np.sqrt(0.5)] * (g - 1))
+    base, ratio = cheb.chebcompanion(np.eye(g + 1)[g]), scl / scl[-1]
+    base.flags.writeable = ratio.flags.writeable = False
+    return base, ratio
+
+
 def _candidates(s: np.ndarray) -> np.ndarray:
     """Candidate points of the rows of an (n, k) stack: -1, the derivative
     roots ``chebroots`` takes (accepted and clipped, NaN where rejected), 1.
@@ -95,10 +105,9 @@ def _candidates(s: np.ndarray) -> np.ndarray:
         if g == 1:
             roots = -dg[:, :1] / dg[:, 1:]
         else:
-            # the colleague matrix of T_g, then chebcompanion's last column
-            mats = np.repeat(cheb.chebcompanion(np.eye(g + 1)[g])[None], len(dg), axis=0)
-            scl = np.array([1.0] + [np.sqrt(0.5)] * (g - 1))
-            mats[:, :, -1] -= (dg[:, :-1] / dg[:, -1:]) * (scl / scl[-1]) * 0.5
+            base, ratio = _colleague(g)  # np.repeat copies the read-only base
+            mats = np.repeat(base[None], len(dg), axis=0)
+            mats[:, :, -1] -= (dg[:, :-1] / dg[:, -1:]) * ratio * 0.5  # chebcompanion's last column
             roots = np.linalg.eigvals(mats[:, ::-1, ::-1])
         x[rows, 1 : g + 1] = np.where(_accepted(roots), np.clip(roots.real, -1.0, 1.0), np.nan)
     return x

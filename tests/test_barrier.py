@@ -438,6 +438,21 @@ def test_search_scores_each_round_in_one_call(k, monkeypatch):
     assert len(calls) <= max(2 * k + 1, budget // barrier.SEARCH_STARTS)
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_search_scores_few_moves_beyond_its_evaluations(seed, monkeypatch):
+    # a round sends each live walk's next SEARCH_BATCH moves, not the rest of
+    # its sweep, so few scored series are thrown away after an improvement
+    rows = []
+
+    def counted(series):
+        rows.append(len(series))
+        return global_minima(series)
+
+    monkeypatch.setattr(barrier, "global_minima", counted)
+    evaluations = sum(search_feasible(k, budget=100, seed=seed).evaluations for k in range(2, 8))
+    assert sum(rows) <= 1.2 * 2 * evaluations  # two series, a and b, per evaluation
+
+
 @pytest.mark.parametrize("budget", [0, float("inf"), float("nan")])
 def test_search_rejects_bad_budget(budget):
     with pytest.raises(ValueError, match="search budget must be finite and at least 1"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as cheb
 
+from imexlmm import chebpoly
 from imexlmm.chebpoly import (
     INTERVAL_TOL,
     REAL_TOL,
@@ -149,6 +150,15 @@ def test_global_minima_match_global_min(stack):
     want = np.array([reference_min(row) for row in stack])
     assert np.array_equal(global_minima(stack), want)
     assert np.array_equal([global_min(ChebSeries(tuple(row))).min_value for row in stack], want)
+
+
+def test_colleague_cache_is_read_only():
+    for g in range(2, 7):
+        for cached in chebpoly._colleague(g):
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
+    for _, stack in _minima_stacks():
+        assert np.array_equal(global_minima(stack), [reference_min(row) for row in stack])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
