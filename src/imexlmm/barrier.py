@@ -218,7 +218,7 @@ def _walk(start, stop, moves):
             for trial, (i, sign) in zip(trials, moves[tried:]):
                 trial[i] += sign * step * scales[i]
             found = yield trials
-            gain = score + SEARCH_GAIN * abs(score)
+            gain = score + SEARCH_GAIN * abs(score) if score > -math.inf else score
             taken = next((j + 1 for j, s in enumerate(found) if s > gain), len(trials))
             evals, tried = evals + taken, tried + taken
             if found[taken - 1] > gain:
@@ -258,7 +258,8 @@ def search_feasible(
 
     def scores(trials):  # float min(min_a, min_b / kappa), the same for a row in any batch
         minima = global_minima(((np.array(trials)[:, None, :] * M).sum(axis=2) + c).reshape(-1, k))
-        return np.minimum(minima[0::2], minima[1::2] / kappa)
+        with np.errstate(over="ignore"):  # a tiny kappa sends min_b < 0 to a -inf score
+            return np.minimum(minima[0::2], minima[1::2] / kappa).tolist()  # walks compare floats
 
     starts = []
     if k == 6:
@@ -283,10 +284,8 @@ def search_feasible(
             except StopIteration as end:
                 ends[walk] = end.value
                 del live[walk]
-    best_w, best_score = None, -float("inf")
-    for w, score, _ in map(ends.get, walks):  # scores rise within a walk: its end is its best
-        if score > best_score:
-            best_w, best_score = w, score
+    # scores rise within a walk, so its end is its best; the first of equal bests wins
+    best_w = max(map(ends.get, walks), key=lambda end: end[1])[0]
     evals = sum(used for _, _, used in ends.values())
     w = ParameterVector(tuple(Fraction(x) for x in best_w))
     res = evaluate_feasibility(w)

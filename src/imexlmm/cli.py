@@ -4,7 +4,10 @@ Subcommands cover the full workflow: scheme construction, energy
 certification, the order-7 infeasibility check, stability scans, phase-field
 simulation and convergence studies.  Structured artifacts are JSON, traces
 and tables are CSV; floats are written with 17 significant digits so repeated
-runs with identical arguments produce byte-identical files.
+runs with identical arguments produce byte-identical files.  Each subcommand
+returns its text, and ``main`` writes it once to ``--out`` or to stdout after
+the config echo: a refused ``certify`` still writes its report, exits 2 and 3
+write nothing, and ``simulate`` writes its trace and snapshots as files.
 
 Exit codes: 0 success, 1 certification refused, 2 usage error, 3 internal
 invariant violation.
@@ -34,6 +37,13 @@ EXIT_INVARIANT = 3
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text: ints as written, None as an empty cell, other numbers by _fmt."""
+    def cell(x) -> str:
+        return "" if x is None else str(x) if isinstance(x, int) else _fmt(x)
+    return "\n".join([header, *(",".join(map(cell, row)) for row in rows)]) + "\n"
 
 
 def _out_path(name: str) -> Path:
@@ -85,7 +95,7 @@ def _parse_fraction_list(text: str):
 
 # ---------------------------------------------------------------- scheme ---
 
-def cmd_scheme(args) -> int:
+def cmd_scheme(args) -> tuple[int, str]:
     if args.variant == "bdf":
         scheme = schemes.bdf_coefficients(args.k)
     elif args.variant == "from-params":
@@ -93,54 +103,45 @@ def cmd_scheme(args) -> int:
     else:  # lmm6
         scheme = schemes.lmm6_scheme()
     scheme.validate()
-    text = schemes.scheme_to_json(scheme) + "\n"
-    _write_text(args.out, text)
-    return EXIT_OK
+    return EXIT_OK, schemes.scheme_to_json(scheme) + "\n"
 
 
 # --------------------------------------------------------------- certify ---
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> tuple[int, str]:
     scheme = _load_scheme(args.scheme)
     constants = certify.ModelConstants(ell_f=args.ell_f, zeta=args.zeta, eta=args.eta)
     report = certify.certify_scheme(scheme, constants, gamma_fraction=args.gamma_fraction)
-    text = json.dumps(report.to_json_dict(), indent=2) + "\n"
-    _write_text(args.out, text)
     if report.refused:
         print(f"refused: {report.refusal_reason}", file=sys.stderr)
-        return EXIT_REFUSED
-    return EXIT_OK
+    code = EXIT_REFUSED if report.refused else EXIT_OK
+    return code, json.dumps(report.to_json_dict(), indent=2) + "\n"
 
 
 # --------------------------------------------------------------- barrier ---
 
-def cmd_barrier_verify(args) -> int:
+def cmd_barrier_verify(args) -> tuple[int, str]:
     report = barrier.verify_farkas_certificate()
-    print("PASS " + str(report.qt_lambda))
-    print(report.summary())
-    return EXIT_OK
+    return EXIT_OK, f"PASS {report.qt_lambda}\n{report.summary()}\n"
 
 
-def cmd_barrier_search(args) -> int:
+def cmd_barrier_search(args) -> tuple[int, str]:
     result = barrier.search_feasible(
         k=args.k, budget=args.budget, seed=args.seed, kappa=args.kappa
     )
-    payload = {
+    return EXIT_OK, json.dumps({
         "k": args.k,
         "w": [str(x) for x in result.w.w],
         "min_a": result.min_a,
         "min_b": result.min_b,
         "feasible": result.feasible,
         "evaluations": result.evaluations,
-    }
-    text = json.dumps(payload, indent=2) + "\n"
-    _write_text(args.out, text)
-    return EXIT_OK
+    }, indent=2) + "\n"
 
 
 # ------------------------------------------------------------- stability ---
 
-def cmd_stability_slice(args) -> int:
+def cmd_stability_slice(args) -> tuple[int, str]:
     scheme = _load_scheme(args.scheme)
     window = tuple(float(x) for x in args.window.split(","))
     if len(window) != 4:
@@ -152,18 +153,13 @@ def cmd_stability_slice(args) -> int:
         window=window,
         resolution=args.resolution,
     )
-    lines = ["x,y,stable"]
-    for x, y, ok in result.rows():
-        lines.append(f"{_fmt(x)},{_fmt(y)},{int(ok)}")
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return EXIT_OK, _csv("x,y,stable", ((x, y, int(ok)) for x, y, ok in result.rows()))
 
 
-def cmd_stability_angle(args) -> int:
+def cmd_stability_angle(args) -> tuple[int, str]:
     scheme = _load_scheme(args.scheme)
     angle = stability.stability_angle(scheme)
-    print(f"A(theta)-stability angle: {_fmt(angle)} degrees")
-    return EXIT_OK
+    return EXIT_OK, f"A(theta)-stability angle: {_fmt(angle)} degrees\n"
 
 
 # -------------------------------------------------------------- simulate ---
@@ -185,7 +181,7 @@ def _snapshot_writer(pattern: str, grid: Grid, every: int):
     return write
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[int, str]:
     certify.require_positive("--tau", args.tau)
     certify.require_positive("--T", args.T)   # before int(round(T / tau))
     scheme = _load_scheme(args.scheme)
@@ -200,7 +196,7 @@ def cmd_simulate(args) -> int:
     report = certify.certify_scheme(scheme, model.constants())
     if report.refused:
         print(f"refused: {report.refusal_reason}", file=sys.stderr)
-        return EXIT_REFUSED
+        return EXIT_REFUSED, ""
 
     if args.model == "pfc":
         result = pde.pfc_experiment(
@@ -228,29 +224,20 @@ def cmd_simulate(args) -> int:
         f"seed={args.seed}{offset} tau_max={_fmt(report.tau_max)}"
     )
     trace.write_csv(_out_path(args.trace), header_comment=header)
-    print(f"wrote {_out_path(args.trace)}")
-    return EXIT_OK
+    return EXIT_OK, f"wrote {_out_path(args.trace)}\n"
 
 
 # -------------------------------------------------------------- converge ---
 
-def cmd_converge(args) -> int:
+def cmd_converge(args) -> tuple[int, str]:
     scheme = _load_scheme(args.scheme)
     n_list = [int(x) for x in args.N.split(",")]
     grid = Grid((args.grid, args.grid), (2 * np.pi, 2 * np.pi))
     model = MODEL_BUILDERS[args.example](args.epsilon)
     solution = pde.trig_mode_solution(grid)
     rows = pde.convergence_study(model, grid, scheme, solution, n_list, T=args.T)
-    lines = ["N,tau,e_inf,rate_inf,e_2,rate_2"]
-    for r in rows:
-        ri = "" if r.rate_inf is None else _fmt(r.rate_inf)
-        r2 = "" if r.rate_two is None else _fmt(r.rate_two)
-        lines.append(
-            f"{r.n_steps},{_fmt(r.tau)},{_fmt(r.error_inf)},{ri},"
-            f"{_fmt(r.error_two)},{r2}"
-        )
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return EXIT_OK, _csv("N,tau,e_inf,rate_inf,e_2,rate_2", (
+        (r.n_steps, r.tau, r.error_inf, r.rate_inf, r.error_two, r.rate_two) for r in rows))
 
 
 # ------------------------------------------------------------------ main ---
@@ -375,7 +362,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     _echo_config(args)
     try:
-        return args.func(args)
+        code, text = args.func(args)
+        _write_text(getattr(args, "out", None), text)  # simulate, verify and angle have no --out
+        return code
     except ArithmeticError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

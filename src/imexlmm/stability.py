@@ -264,15 +264,18 @@ def region_slice(
     n_re, n_im = (resolution, resolution) if np.isscalar(resolution) else resolution
     if n_re < 2 or n_im < 2:
         raise ValueError("resolution must be at least 2 per axis")
-    re_axis = np.linspace(window[0], window[1], n_re)
-    im_axis = np.linspace(window[2], window[3], n_im)
-    rho, sigma, sigma_hat = char_polys(s).as_arrays()
+    re0, re1, im0, im1 = map(float, window)
     fixed = complex(fixed_value) if plane == "imex" else 0j
+    if not np.isfinite([re0, re1, im0, im1, re1 - re0, im1 - im0, fixed]).all():  # finite ends and span
+        raise ValueError(f"window {window} and z_I = {fixed} must give finite axes")
+    re_axis = np.linspace(re0, re1, n_re)
+    im_axis = np.linspace(im0, im1, n_im)
+    rho, sigma, sigma_hat = char_polys(s).as_arrays()
     num, den = (rho, sigma) if plane == "implicit" else (rho - fixed * sigma, sigma_hat)
     radius = (1.0 + ROOT_TOL) ** np.arange(len(rho) - 1, -1, -1)
     breaks, flat = _locus_breaks(num * radius, den * radius, im_axis)
     first = flat[:, None] | (np.arange(n_re + 1) == 0)  # first[:, j]: a run starts at column j
-    rising = 1.0 if window[1] >= window[0] else -1.0  # searchsorted needs a rising axis
+    rising = 1.0 if re1 >= re0 else -1.0  # searchsorted needs a rising axis
     np.put_along_axis(first, np.searchsorted(rising * re_axis, rising * breaks, side="right"),
                       True, axis=1)
     first = first[:, :-1].ravel()

@@ -466,6 +466,21 @@ def test_search_rejects_bad_kappa(kappa):
         search_feasible(3, budget=10, kappa=kappa)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kappa", [5e-324, 1e-300])
+def test_search_leaves_a_minus_inf_score(kappa):
+    # a tiny kappa overflows min_b / kappa to a -inf score: the search runs with
+    # no warning, and a walk that starts at -inf takes its first finite move
+    assert search_feasible(3, budget=50, seed=1, kappa=kappa).evaluations == 50
+    walk = barrier._walk([0.0], 20, [(0, 1.0), (0, -1.0)])
+    trials = next(walk)
+    with pytest.raises(StopIteration) as end:
+        while True:
+            trials = walk.send([np.float64(-abs(t[0] - 1) if t[0] else -np.inf) for t in trials])
+    w, score, _ = end.value.value
+    assert (w, score) == ([1.0], 0.0)
+
+
 @pytest.mark.parametrize("k", range(2, 8))
 def test_search_reports_exact_reevaluation(k):
     result = search_feasible(k, budget=100, seed=1)

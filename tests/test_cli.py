@@ -91,6 +91,28 @@ def test_json_goes_to_stdout_without_out(argv, key, capsys):
     assert key in json.loads(text)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["scheme", "lmm6"],
+     ["certify", "--scheme", "{lmm6}", "--ell-f", "10.75", "--zeta", "1.0478", "--eta", "0.5"],
+     ["certify", "--scheme", "{bdf6}", "--ell-f", "1", "--zeta", "1", "--eta", "1"],
+     ["barrier", "search", "--k", "2", "--budget", "60", "--seed", "1"]],
+    ids=["scheme", "certify", "certify-refused", "barrier-search"],
+)
+def test_stdout_matches_out_file(argv, tmp_path, lmm6_file, capsys):
+    # one payload: stdout past the config echo is the --out file, byte for byte
+    bdf6 = tmp_path / "bdf6.json"
+    assert run(["scheme", "bdf", "--k", "6", "--out", str(bdf6)]) == 0
+    argv = [token.format(lmm6=lmm6_file, bdf6=bdf6) for token in argv]
+    out = tmp_path / "out.txt"
+    code = run(argv + ["--out", str(out)])
+    capsys.readouterr()
+    assert run(argv) == code
+    echo, _, text = capsys.readouterr().out.partition("\n")
+    assert echo.startswith("# config:")
+    assert text.encode() == out.read_bytes()
+
+
 def test_scheme_stdout_loads_as_a_scheme_file(tmp_path, lmm6_file, capsys):
     # stdout leads with the config echo; a scheme file is read past leading # lines
     assert run(["scheme", "lmm6"]) == 0
@@ -235,6 +257,14 @@ def test_determinism_byte_identical(tmp_path, lmm6_file):
          "--epsilon", "nan", "--out", "{out}"],
         ["converge", "--example", "ac", "--scheme", "{lmm6}", "--N", "8,10", "--grid", "16",
          "--T", "-1", "--out", "{out}"],
+        ["stability", "slice", "--scheme", "{lmm6}", "--plane", "implicit",
+         "--window=nan,5,-10,10", "--resolution", "4", "--out", "{out}"],
+        ["stability", "slice", "--scheme", "{lmm6}", "--plane", "implicit",
+         "--window=inf,5,-10,10", "--resolution", "4", "--out", "{out}"],
+        ["stability", "slice", "--scheme", "{lmm6}", "--plane", "implicit",
+         "--window=-15,5,1e308,-1e308", "--resolution", "4", "--out", "{out}"],
+        ["stability", "slice", "--scheme", "{lmm6}", "--plane", "imex", "--zi=nan",
+         "--resolution", "4", "--out", "{out}"],
     ],
     ids=["unknown-flag", "bdf-k9", "negative-ell-f", "missing-scheme",
          "ac-tau-0", "pfc-tau-0", "snapshots-every-0",
@@ -242,7 +272,8 @@ def test_determinism_byte_identical(tmp_path, lmm6_file):
          "ac-T-short", "pfc-T-short",
          "scheme-empty", "scheme-a-int", "scheme-a-div0", "params-div0",
          "ell-f-nan", "zeta-inf", "domain-negative", "domain-0", "converge-repeated-N",
-         "T-inf", "epsilon-nan", "converge-epsilon-nan", "converge-T-negative"],
+         "T-inf", "epsilon-nan", "converge-epsilon-nan", "converge-T-negative",
+         "slice-window-nan", "slice-window-inf", "slice-window-overflow", "slice-zi-nan"],
 )
 def test_usage_error_exit_code(argv, tmp_path, lmm6_file, capsys):
     paths = {"lmm6": lmm6_file, "missing": tmp_path / "missing.json", "out": tmp_path / "out.csv"}
@@ -252,12 +283,17 @@ def test_usage_error_exit_code(argv, tmp_path, lmm6_file, capsys):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(payload))
     argv = [token.format(**paths) for token in argv]
+    capsys.readouterr()
     try:
         code = run(argv)
     except SystemExit as exc:  # argparse rejects unknown flags itself
         code = exc.code
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    echo, _, rest = captured.out.partition("\n")
+    assert rest == ""  # nothing past the config echo, which argparse errors precede
+    assert not echo or echo.startswith("# config:")
     assert not paths["out"].exists()
 
 

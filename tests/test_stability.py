@@ -253,6 +253,20 @@ def test_region_slice_rejects_bad_input():
         region_slice(lmm6_scheme(), "implicit", resolution=1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "plane, fixed_value, window",
+    [("implicit", 0j, (np.nan, 5.0, -10.0, 10.0)),
+     ("implicit", 0j, (np.inf, 5.0, -10.0, 10.0)),
+     ("implicit", 0j, (-15.0, 5.0, 1e308, -1e308)),  # finite ends, overflowing span
+     ("imex", complex(np.nan, 0.0), (-15.0, 5.0, -10.0, 10.0))],
+    ids=["window-nan", "window-inf", "window-overflow", "zi-nan"],
+)
+def test_region_slice_rejects_non_finite_axes(plane, fixed_value, window):
+    with pytest.raises(ValueError, match="must give finite axes"):
+        region_slice(lmm6_scheme(), plane, fixed_value=fixed_value, window=window, resolution=4)
+
+
 # ------------------------------------------- Schur-Cohn against eigenvalues
 
 SCHEMES = {f"bdf{k}": bdf_coefficients(k) for k in range(1, 7)}

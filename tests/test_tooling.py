@@ -108,36 +108,54 @@ def test_module_imports_are_read():
 # functions kept though nothing in src/ calls them, each with its reason
 NO_SRC_CALLER = {
     "barrier.py:Q": "the QuadExt view of the integer rows that the golden tables compare",
+    "barrier.py:q": "the QuadExt view of the integer rows that the golden tables compare",
     "barrier.py:residuals": "q - Q w in exact arithmetic: the assembly oracle of the rows",
     "chebpoly.py:evaluate": "perfbench/workloads.py and the chebpoly tests evaluate series",
+    "pde.py:modified_energy": "the public E_G of a flow's window, the oracle of simulate's tracker",
     "schemes.py:parameters_from_scheme": "the round-trip oracle of lmm_from_parameters",
     "stability.py:root_condition": "the reference root test of test_stability.py and criterion 7",
 }
 
 
+def _names_defined_by(cls: ast.ClassDef) -> set:
+    # methods and annotated fields of the class body, and attributes stored on self
+    names = {item.name for item in cls.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    names |= {item.target.id for item in cls.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+    return names | {node.attr for node in ast.walk(cls) if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store) and getattr(node.value, "id", None) == "self"}
+
+
 def test_module_functions_have_a_caller_in_src():
     # a function or method that only tests or perfbench call fails here unless
     # NO_SRC_CALLER names it; by name, over src/ less __init__.py, and reads
-    # inside a function's own definition do not count
+    # inside a function's own definition do not count.  A bare name reaches
+    # module functions only.  An attribute read inside class C of a name that C
+    # defines counts toward C alone, and only as self.name: x.q in
+    # FarkasSystem.left_product reads a QuadExt, not the view FarkasSystem.q
     defined, reads = [], {}
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text())
-        for node in tree.body:
-            members = node.body if isinstance(node, ast.ClassDef) else [node]
-            defined += [(path.name, item) for item in members
+        for node in ast.parse(path.read_text()).body:
+            owner = node.name if isinstance(node, ast.ClassDef) else None
+            own = _names_defined_by(node) if owner else set()
+            members = node.body if owner else [node]
+            defined += [(path.name, owner, item) for item in members
                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not (item.name.startswith("__") and item.name.endswith("__"))]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                reads.setdefault(node.id, []).append((path.name, node.lineno))
-            elif isinstance(node, ast.Attribute):
-                reads.setdefault(node.attr, []).append((path.name, node.lineno))
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    reads.setdefault(sub.id, []).append((path.name, None, sub.lineno))
+                elif isinstance(sub, ast.Attribute) and sub.attr not in own:
+                    reads.setdefault(sub.attr, []).append((path.name, "*", sub.lineno))
+                elif isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) == "self":
+                    reads.setdefault(sub.attr, []).append((path.name, owner, sub.lineno))
     assert defined
-    uncalled = [f"{module}:{item.name}" for module, item in defined
-                if all(where == module and item.lineno <= line <= item.end_lineno
-                       for where, line in reads.get(item.name, []))]
+    uncalled = [f"{module}:{item.name}" for module, owner, item in defined
+                if all(cls not in ("*", owner)
+                       or where == module and item.lineno <= line <= item.end_lineno
+                       for where, cls, line in reads.get(item.name, []))]
     assert sorted(uncalled) == sorted(NO_SRC_CALLER), (
         f"list in NO_SRC_CALLER with a reason, or delete: {uncalled}")
 
