@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,8 +170,7 @@ def _exact_cos_node(numerator: int, denominator: int) -> QuadExt:
     return _COS_PI_6[(numerator * (6 // denominator)) % 12]
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     min_a: float
     min_b: float
     feasible: bool
@@ -186,9 +185,7 @@ def evaluate_feasibility(w) -> FeasibilityResult:
     coeffs = reform(lmm_from_parameters(w))
     min_a = global_min(ChebSeries(coeffs.a)).min_value
     min_b = global_min(ChebSeries(coeffs.b)).min_value
-    return FeasibilityResult(
-        min_a=min_a, min_b=min_b, feasible=min_a > 0.0 and min_b > 0.0
-    )
+    return FeasibilityResult(min_a, min_b, feasible=min_a > 0.0 and min_b > 0.0)
 
 
 SEARCH_STARTS = 20  # pattern-search starting points per call
@@ -196,8 +193,7 @@ SEARCH_GAIN = 1e-12  # a move is taken only if it raises the score by this share
 SEARCH_BATCH = 2  # untried moves a live walk sends per round
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     w: ParameterVector
     min_a: float
     min_b: float
@@ -292,8 +288,7 @@ def search_feasible(
     return SearchResult(w, res.min_a, res.min_b, res.feasible, evaluations=evals)
 
 
-@dataclass(frozen=True)
-class FarkasSystem:
+class FarkasSystem(NamedTuple):
     """Exact inequality system Q w <= q, stored as integer rows: row i of
     (-Q | q) is (P_i + sqrt(3) R_i) / den, and every product runs on P and R."""
 
@@ -399,8 +394,7 @@ def certificate_multipliers() -> tuple:
     return tuple(r1[i] + c2 * r2[i] + c3 * r3[i] for i in range(14))
 
 
-@dataclass(frozen=True)
-class FarkasReport:
+class FarkasReport(NamedTuple):
     """Verified infeasibility certificate for k = 7."""
 
     lam: tuple

@@ -12,7 +12,7 @@ admissible step bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebtrim, chebval
@@ -49,23 +49,26 @@ def require_positive(name: str, value) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class ModelConstants:
-    """Lipschitz constant of f plus the interpolation constants (zeta, eta)."""
-
+class _ModelConstants(NamedTuple):
     ell_f: float
     zeta: float
     eta: float
 
-    def __post_init__(self):
-        require_positive("ell_f", self.ell_f)
-        require_positive("zeta", self.zeta)
-        if not 0.0 < self.eta <= 1.0:
+
+class ModelConstants(_ModelConstants):
+    """Lipschitz constant of f plus the interpolation constants (zeta, eta)."""
+
+    __slots__ = ()
+
+    def __new__(cls, ell_f, zeta, eta):
+        require_positive("ell_f", ell_f)
+        require_positive("zeta", zeta)
+        if not 0.0 < eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
+        return super().__new__(cls, ell_f, zeta, eta)
 
 
-@dataclass(frozen=True)
-class EnergyCertificate:
+class EnergyCertificate(NamedTuple):
     """(gamma, p, U, G) certifying x^T U x >= gamma x_1^2 for one vector."""
 
     gamma: float
@@ -205,8 +208,7 @@ def tau_max_bound(alpha: float, beta: float, chat1: float, constants: ModelConst
     return alpha * pow00(beta, eb) / denom
 
 
-@dataclass(frozen=True)
-class DissipationReport:
+class DissipationReport(NamedTuple):
     """Outcome of certifying one scheme against one set of model constants."""
 
     alpha_max: float
@@ -278,13 +280,5 @@ def certify_scheme(
         cert_a = _certificate(coeffs.a, alpha)
         cert_b = _certificate(coeffs.b, beta)
         tau_max = tau_max_bound(alpha, beta, chat1, constants)
-    return DissipationReport(
-        alpha_max=alpha_max,
-        beta_max=beta_max,
-        cert_a=cert_a,
-        cert_b=cert_b,
-        tau_max=tau_max,
-        constants=constants,
-        refused=bool(bad),
-        refusal_reason="; ".join(bad) or None,
-    )
+    return DissipationReport(alpha_max, beta_max, cert_a, cert_b, tau_max, constants,
+                             refused=bool(bad), refusal_reason="; ".join(bad) or None)

@@ -15,7 +15,7 @@ that endpoint.  The minimum is the least value over the candidates.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -35,24 +35,26 @@ REAL_TOL = 1e-8
 INTERVAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ChebSeries:
-    """Coefficients s_0..s_{k-1} of sum_m s_m T_m(x)."""
-
+class _ChebSeries(NamedTuple):
     s: tuple
 
-    def __post_init__(self):
-        if len(self.s) < 1:
+
+class ChebSeries(_ChebSeries):
+    """Coefficients s_0..s_{k-1} of sum_m s_m T_m(x)."""
+
+    __slots__ = ()
+
+    def __new__(cls, s):
+        if len(s) < 1:
             raise ValueError("series needs at least one coefficient")
-        object.__setattr__(self, "s", tuple(float(v) for v in self.s))
+        return super().__new__(cls, tuple(float(v) for v in s))
 
     @property
     def k(self) -> int:
         return len(self.s)
 
 
-@dataclass(frozen=True)
-class MinResult:
+class MinResult(NamedTuple):
     """Least value over the candidates, its first point, and the candidates
     in ascending order: -1, each accepted derivative root, 1.  Roots are not
     merged, and a root clipped to +-1 repeats that endpoint."""
@@ -122,11 +124,7 @@ def global_min(series: ChebSeries) -> MinResult:
     x = np.sort(x[~np.isnan(x)])
     values = cheb.chebval(x, series.s)
     best = int(np.argmin(values))
-    return MinResult(
-        min_value=float(values[best]),
-        argmin=float(x[best]),
-        critical_points=tuple(x.tolist()),
-    )
+    return MinResult(float(values[best]), float(x[best]), tuple(x.tolist()))
 
 
 def global_minima(series) -> np.ndarray:

@@ -197,6 +197,8 @@ def cmd_simulate(args) -> tuple[int, str]:
     if report.refused:
         print(f"refused: {report.refusal_reason}", file=sys.stderr)
         return EXIT_REFUSED, ""
+    trace_path = _out_path(args.trace)
+    trace_path.parent.mkdir(parents=True, exist_ok=True)  # before the run, not after it
 
     if args.model == "pfc":
         result = pde.pfc_experiment(
@@ -223,8 +225,8 @@ def cmd_simulate(args) -> tuple[int, str]:
         f"model={args.model} epsilon={model.epsilon} tau={args.tau} T={args.T} "
         f"seed={args.seed}{offset} tau_max={_fmt(report.tau_max)}"
     )
-    trace.write_csv(_out_path(args.trace), header_comment=header)
-    return EXIT_OK, f"wrote {_out_path(args.trace)}\n"
+    trace.write_csv(trace_path, header_comment=header)
+    return EXIT_OK, f"wrote {trace_path}\n"
 
 
 # -------------------------------------------------------------- converge ---

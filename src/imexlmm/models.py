@@ -16,8 +16,8 @@ stays inside that interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+import numbers
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,9 +40,8 @@ class HermitianViolationError(ArithmeticError):
     """Inverse transform of supposedly real data had a large imaginary part."""
 
 
-@dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid with cached wavenumber tables.
+    """Uniform periodic grid with cached wavenumber tables; immutable.
 
     shape gives points per axis (even, powers of two preferred), lengths the
     physical box sides.  Transforms are real-to-complex over the trailing
@@ -54,37 +53,44 @@ class Grid:
 
     shape: tuple
     lengths: tuple
-    k2: np.ndarray = field(init=False, repr=False, compare=False)
-    npoints: int = field(init=False, repr=False, compare=False)
-    cell_volume: float = field(init=False, repr=False, compare=False)
+    k2: np.ndarray
+    npoints: int
+    cell_volume: float
     # how often each stored mode occurs in the full spectrum: 1 on the
     # self-conjugate last-axis planes 0 and n/2, 2 elsewhere
-    multiplicity: np.ndarray = field(init=False, repr=False, compare=False)
+    multiplicity: np.ndarray
 
-    def __post_init__(self):
-        shape = tuple(int(n) for n in self.shape)
-        lengths = tuple(require_positive("grid length", l) for l in self.lengths)
+    def __init__(self, shape, lengths):
+        shape = tuple(shape)
+        if not all(isinstance(n, numbers.Real) and math.isfinite(n) and n == int(n) for n in shape):
+            raise ValueError(f"grid points per axis must be integers, got {shape!r}")
+        shape = tuple(map(int, shape))
+        lengths = tuple(require_positive("grid length", l) for l in lengths)
         if len(shape) != len(lengths):
             raise ValueError("shape and lengths must agree in dimension")
         if not 1 <= len(shape) <= 3:
             raise ValueError("only dimensions 1..3 are supported")
         if any(n < 2 or n % 2 for n in shape):
             raise ValueError("grid points per axis must be even and >= 2")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "lengths", lengths)
         axes = [
             2.0 * np.pi * np.fft.fftfreq(n, d=l / n)
             for n, l in zip(shape[:-1], lengths[:-1])
         ]
         axes.append(2.0 * np.pi * np.fft.rfftfreq(shape[-1], d=lengths[-1] / shape[-1]))
         mesh = np.meshgrid(*axes, indexing="ij")
-        object.__setattr__(self, "k2", sum(m ** 2 for m in mesh))
         npoints = math.prod(shape)
-        object.__setattr__(self, "npoints", npoints)
-        object.__setattr__(self, "cell_volume", math.prod(lengths) / npoints)
         multiplicity = np.full(shape[-1] // 2 + 1, 2.0)
         multiplicity[[0, -1]] = 1.0
-        object.__setattr__(self, "multiplicity", multiplicity)
+        self.__dict__.update(
+            shape=shape, lengths=lengths, k2=sum(m ** 2 for m in mesh), npoints=npoints,
+            cell_volume=math.prod(lengths) / npoints, multiplicity=multiplicity,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Grid")
+
+    def __repr__(self) -> str:
+        return f"Grid(shape={self.shape!r}, lengths={self.lengths!r})"
 
     @property
     def dim(self) -> int:
@@ -141,8 +147,7 @@ class Grid:
         return float(np.sqrt(self.inner(u, u)))
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(NamedTuple):
     """Symbols, nonlinearity, potential and analysis constants of one model."""
 
     name: str

@@ -20,8 +20,7 @@ keeps the recorded mass constant to machine precision over long runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -420,16 +419,22 @@ class _QuadFormTracker:
         return float(np.sum(self.coef[flow.head] * self.gram))
 
 
-@dataclass
 class EnergyTrace:
     """Per-step record: index, time, E, E_G, mass, max norm."""
 
-    steps: list = field(default_factory=list)
-    times: list = field(default_factory=list)
-    energy: list = field(default_factory=list)
-    modified_energy: list = field(default_factory=list)
-    mass: list = field(default_factory=list)
-    max_abs: list = field(default_factory=list)
+    steps: list
+    times: list
+    energy: list
+    modified_energy: list
+    mass: list
+    max_abs: list
+
+    def __init__(self):
+        self.steps, self.times, self.energy, self.modified_energy, self.mass, self.max_abs = (
+            [], [], [], [], [], [])
+
+    def __repr__(self) -> str:
+        return f"EnergyTrace({', '.join(f'{name}={value!r}' for name, value in vars(self).items())})"
 
     def columns(self) -> tuple:
         return (self.steps, self.times, self.energy, self.modified_energy, self.mass, self.max_abs)
@@ -511,8 +516,7 @@ def simulate(
     return trace, flow
 
 
-@dataclass(frozen=True)
-class ManufacturedSolution:
+class ManufacturedSolution(NamedTuple):
     """Exact solution u*(t) = amplitude(t) mode on the grid, rate = amplitude'."""
 
     mode: np.ndarray
@@ -545,8 +549,7 @@ def trig_mode_solution(grid: Grid) -> ManufacturedSolution:
     return ManufacturedSolution(np.sin(coords[0]) * np.sin(coords[1]), np.cos, lambda t: -np.sin(t))
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     n_steps: int
     tau: float
     error_inf: float
@@ -602,8 +605,7 @@ def convergence_study(
     return rows
 
 
-@dataclass(frozen=True)
-class PatchSpec:
+class PatchSpec(NamedTuple):
     center: tuple
     side: float
     amplitude: float
@@ -623,8 +625,7 @@ def default_patches(lengths) -> tuple:
     )
 
 
-@dataclass
-class PfcExperimentResult:
+class PfcExperimentResult(NamedTuple):
     trace: EnergyTrace
     energy_offset: float       # additive constant vs the conventional energy
     max_abs: float

@@ -14,8 +14,8 @@ import functools
 import itertools
 import json
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import exactalg
 
@@ -43,29 +43,31 @@ class SchemeError(ValueError):
     """A coefficient table that violates the multistep contract."""
 
 
-@dataclass(frozen=True)
-class SchemeCoefficients:
-    """Coefficient table (k, A_0..A_k, B_0..B_k, Bhat_1..Bhat_k)."""
-
+class _SchemeCoefficients(NamedTuple):
     k: int
     A: tuple
     B: tuple
     Bhat: tuple
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise SchemeError(f"step count must be >= 1, got {self.k}")
-        if len(self.A) != self.k + 1 or len(self.B) != self.k + 1:
+
+class SchemeCoefficients(_SchemeCoefficients):
+    """Coefficient table (k, A_0..A_k, B_0..B_k, Bhat_1..Bhat_k)."""
+
+    __slots__ = ()
+
+    def __new__(cls, k, A, B, Bhat):
+        if k < 1:
+            raise SchemeError(f"step count must be >= 1, got {k}")
+        if len(A) != k + 1 or len(B) != k + 1:
             raise SchemeError("A and B must have length k+1")
-        if len(self.Bhat) != self.k:
+        if len(Bhat) != k:
             raise SchemeError("Bhat must have length k")
-        object.__setattr__(self, "A", tuple(Fraction(x) for x in self.A))
-        object.__setattr__(self, "B", tuple(Fraction(x) for x in self.B))
-        object.__setattr__(self, "Bhat", tuple(Fraction(x) for x in self.Bhat))
-        if self.A[0] == 0:
+        A, B, Bhat = (tuple(Fraction(x) for x in v) for v in (A, B, Bhat))
+        if A[0] == 0:
             raise SchemeError("A_0 must be nonzero (implicit solve ill-posed)")
-        if self.B[0] == 0:
+        if B[0] == 0:
             raise SchemeError("B_0 must be nonzero (implicit solve ill-posed)")
+        return super().__new__(cls, k, A, B, Bhat)
 
     def validate(self):
         """Raise SchemeError unless order conditions and normalization hold."""
@@ -78,8 +80,7 @@ class SchemeCoefficients:
             raise SchemeError("normalization sum(B) = sum(Bhat) = 1 violated")
 
 
-@dataclass(frozen=True)
-class ReformedCoefficients:
+class ReformedCoefficients(NamedTuple):
     """Cumulative-sum form (a, b, bhat, chat) of a scheme.
 
     ``a_i = sum_{j<=i} A_j``, ``b_i = sum_{j<=i} B_j - 1 + delta_{i0}/2`` and
@@ -94,24 +95,26 @@ class ReformedCoefficients:
     chat: tuple
 
 
-@dataclass(frozen=True)
-class ParameterVector:
-    """Free parameters (w_1..w_k) of the order-condition family; w_0 = 1."""
-
+class _ParameterVector(NamedTuple):
     w: tuple
 
-    def __post_init__(self):
-        if len(self.w) < 1:
+
+class ParameterVector(_ParameterVector):
+    """Free parameters (w_1..w_k) of the order-condition family; w_0 = 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, w):
+        if len(w) < 1:
             raise SchemeError("parameter vector must have length k >= 1")
-        object.__setattr__(self, "w", tuple(Fraction(x) for x in self.w))
+        return super().__new__(cls, tuple(Fraction(x) for x in w))
 
     @property
     def k(self) -> int:
         return len(self.w)
 
 
-@dataclass(frozen=True)
-class OrderReport:
+class OrderReport(NamedTuple):
     """Largest satisfied order plus the exact residual of every condition."""
 
     order: int
@@ -258,12 +261,7 @@ def verify_order_conditions(s: SchemeCoefficients) -> OrderReport:
     if not consistency:
         while order <= k and not implicit[order] and not explicit[order]:
             order += 1
-    return OrderReport(
-        order=order,
-        consistency_residual=consistency,
-        implicit_residuals=tuple(implicit),
-        explicit_residuals=tuple(explicit),
-    )
+    return OrderReport(order, consistency, tuple(implicit), tuple(explicit))
 
 
 def scheme_to_json(s: SchemeCoefficients, indent: int = 2) -> str:

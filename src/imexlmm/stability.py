@@ -10,10 +10,10 @@ closed unit disk, boundary roots simple.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -47,8 +47,7 @@ class UndefinedAngleError(ValueError):
     """Sector angle requested for a scheme that is not zero-stable."""
 
 
-@dataclass(frozen=True)
-class CharPolys:
+class CharPolys(NamedTuple):
     """Characteristic polynomials rho, sigma, sigma_hat (exact, descending)."""
 
     rho: tuple
@@ -66,15 +65,10 @@ class CharPolys:
 def char_polys(s: SchemeCoefficients) -> CharPolys:
     """rho = sum A_i xi^(k-i), sigma = sum B_i xi^(k-i),
     sigma_hat = sum_{i>=1} Bhat_i xi^(k-i)."""
-    return CharPolys(
-        rho=tuple(s.A),
-        sigma=tuple(s.B),
-        sigma_hat=(Fraction(0),) + tuple(s.Bhat),
-    )
+    return CharPolys(s.A, s.B, (Fraction(0),) + s.Bhat)
 
 
-@dataclass(frozen=True)
-class RootConditionResult:
+class RootConditionResult(NamedTuple):
     zero_stable: bool
     roots: np.ndarray
     violations: tuple
@@ -198,8 +192,7 @@ def _points_stable(rho, sigma, sigma_hat, zi, ze):
     return stable
 
 
-@dataclass(frozen=True)
-class RegionSlice:
+class RegionSlice(NamedTuple):
     """Boolean stability mask over a rectangle of the scanned variable."""
 
     re_axis: np.ndarray

@@ -195,6 +195,20 @@ def test_simulate_ac_trace_header(tmp_path, lmm6_file):
     assert columns == "step,t,E,E_G,mass,max_abs"
 
 
+def test_simulate_creates_the_trace_directory(tmp_path, lmm6_file, monkeypatch):
+    # the run once finished, wrote its snapshots, then exited 2 on the missing directory
+    monkeypatch.setenv("IMEXLMM_OUTPUT_DIR", str(tmp_path))
+    code = run([
+        "simulate", "--model", "ac", "--scheme", str(lmm6_file),
+        "--grid", "16", "--domain", "16", "--tau", "0.01", "--T", "0.1",
+        "--trace", "t/trace.csv", "--snapshots", "every:5",
+    ])
+    assert code == 0
+    lines = (tmp_path / "t" / "trace.csv").read_text().splitlines()
+    assert lines[1] == "step,t,E,E_G,mass,max_abs" and len(lines) == 2 + 11  # steps 0..10
+    assert (tmp_path / "snapshot_000005.bin").exists()
+
+
 def test_converge_csv(tmp_path, lmm6_file):
     out = tmp_path / "table.csv"
     code = run([

@@ -117,6 +117,30 @@ def test_grid_validation():
         Grid((32,), (1.0, 1.0))
 
 
+def test_grid_refuses_a_fractional_point_count():
+    # 16.7 ran as 16 points
+    with pytest.raises(ValueError, match="grid points per axis must be integers"):
+        Grid((16.7, 16), (16.0, 16.0))
+
+
+def test_grid_refuses_an_infinite_point_count():
+    # inf raised OverflowError from int()
+    with pytest.raises(ValueError, match="grid points per axis must be integers"):
+        Grid((float("inf"), 16), (16.0, 16.0))
+
+
+def test_grid_refuses_a_string_point_count():
+    # '16' ran as 16 points
+    with pytest.raises(ValueError, match="grid points per axis must be integers"):
+        Grid(("16", 16), (16.0, 16.0))
+
+
+@pytest.mark.parametrize("n", [16, np.int64(16), 16.0], ids=["int", "int64", "float"])
+def test_grid_takes_integral_point_counts(n):
+    grid = Grid((n, 16), (16.0, 16.0))
+    assert grid.shape == (16, 16) and all(type(m) is int for m in grid.shape)
+
+
 @pytest.mark.parametrize("length", [0.0, -16.0, float("nan"), float("inf")])
 def test_grid_lengths_must_be_finite_and_positive(length):
     # -16 ran as a box of side 16, and 0 divided by zero
